@@ -28,8 +28,9 @@ class ExtentFrame:
     prevent_evict: bool = False
     #: Readers pin the frame so eviction cannot drop it mid-access.
     pins: int = 0
-    #: Monotonic use stamp for eviction candidate ordering.
-    last_use: int = 0
+    #: Index in the owning pool's size-class array (victim sampling);
+    #: bookkeeping, not state, hence excluded from equality.
+    slot: int = field(default=0, repr=False, compare=False)
     #: Runtime sanitizer hook (``model.san``); ``None`` — the default —
     #: costs one attribute check per access.  Excluded from equality:
     #: frame identity is its content and state, not its instrumentation.

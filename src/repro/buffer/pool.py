@@ -18,12 +18,19 @@ class PoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    #: Candidate frames the victim sampler examined (1-2 per eviction).
+    eviction_probes: int = 0
     writebacks: int = 0
 
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+#: Consecutive pinned/protected draws the victim sampler tolerates
+#: before it falls back to one linear sweep of the resident set.
+MAX_VICTIM_REDRAWS = 16
 
 
 class BufferPoolBase:
@@ -51,9 +58,10 @@ class BufferPoolBase:
         #: coalesce and batches are priced at its queue depth.
         self.io = IoScheduler(device, model, queue_depth=io_queue_depth,
                               max_merge_pages=io_max_merge_pages)
-        #: "fair" accepts a victim with probability proportional to its
+        #: "fair" draws a victim with probability proportional to its
         #: page count (Section III-G); "uniform" treats every extent as
-        #: equally evictable (the ablation baseline).
+        #: equally evictable (the ablation baseline).  Read on every
+        #: draw, so it may be reassigned after construction.
         self.eviction_policy = eviction_policy
         #: Optional RetryPolicy; when set, device I/O issued by the pool
         #: survives transient faults (set by the engine, not per-call).
@@ -61,9 +69,15 @@ class BufferPoolBase:
         self.stats = PoolStats()
         self._frames: dict[int, ExtentFrame] = {}
         self._used_pages = 0
-        self._clockhand = 0
         self._rng = random.Random(eviction_seed)
-        self._max_extent_pages = 1
+        #: The resident set again, indexed for sampling: size class
+        #: ``(npages - 1).bit_length()`` -> swap-remove array of frames
+        #: (``frame.slot`` is the index).  Class ``b`` spans (2^(b-1), 2^b]
+        #: pages, so the power-of-two extent tiers sit at their class max.
+        self._buckets: list[list[ExtentFrame]] = [
+            [] for _ in range((capacity_pages - 1).bit_length() + 1)]
+        #: Pages resident per size class (the "fair" bucket weights).
+        self._bucket_pages = [0] * len(self._buckets)
 
     # -- residency -----------------------------------------------------------
 
@@ -87,12 +101,27 @@ class BufferPoolBase:
         frame = self._frames.get(head_pid)
         if frame is not None:
             self._translate(frame.npages)
-            self._touch(frame)
         return frame
 
-    def _touch(self, frame: ExtentFrame) -> None:
-        self._clockhand += 1
-        frame.last_use = self._clockhand
+    def _insert(self, frame: ExtentFrame) -> None:
+        self._frames[frame.head_pid] = frame
+        self._used_pages += frame.npages
+        size_class = (frame.npages - 1).bit_length()
+        bucket = self._buckets[size_class]
+        frame.slot = len(bucket)
+        bucket.append(frame)
+        self._bucket_pages[size_class] += frame.npages
+
+    def _remove(self, frame: ExtentFrame) -> None:
+        del self._frames[frame.head_pid]
+        self._used_pages -= frame.npages
+        size_class = (frame.npages - 1).bit_length()
+        bucket = self._buckets[size_class]
+        last = bucket.pop()
+        if last is not frame:
+            bucket[frame.slot] = last
+            last.slot = frame.slot
+        self._bucket_pages[size_class] -= frame.npages
 
     def _device_call(self, op):
         """Issue a device operation, retrying transient faults if a
@@ -122,10 +151,7 @@ class BufferPoolBase:
                             prevent_evict=prevent_evict,
                             san=self.model.san,
                             race=self.model.race)
-        self._frames[head_pid] = frame
-        self._used_pages += npages
-        self._max_extent_pages = max(self._max_extent_pages, npages)
-        self._touch(frame)
+        self._insert(frame)
         return frame
 
     # -- reads ------------------------------------------------------------------
@@ -138,60 +164,71 @@ class BufferPoolBase:
         those extents and reads the extents using a single asynchronous
         IO system call" (Section III-D).
         """
+        # Hits are pinned as they are counted: ``_make_room`` below must
+        # not evict an extent this very batch is about to return.
+        hits: list[ExtentFrame] = []
         missing: list[tuple[int, int]] = []
         for pid, npages in ranges:
             frame = self._frames.get(pid)
             self._translate(npages)
             if frame is None:
-                self.stats.misses += 1
                 missing.append((pid, npages))
             else:
-                self.stats.hits += 1
+                frame.pins += 1
+                hits.append(frame)
+        self.stats.hits += len(hits)
+        self.stats.misses += len(missing)
         obs = self.model.obs
         if obs is not None:
-            obs.count("pool.hits", len(ranges) - len(missing))
+            obs.count("pool.hits", len(hits))
             obs.count("pool.misses", len(missing))
-        if missing:
-            if obs is not None:
-                obs.begin("pool.load")
-            try:
-                self._make_room(sum(n for _, n in missing))
-                tickets = [self.io.submit_read(pid, n)
-                           for pid, n in missing]
-                self._device_call(self.io.drain)
-                for (pid, npages), ticket in zip(missing, tickets):
-                    assert ticket.result is not None
-                    frame = ExtentFrame(head_pid=pid, npages=npages,
-                                        page_size=self.device.page_size,
-                                        data=bytearray(ticket.result),
-                                        san=self.model.san,
-                                        race=self.model.race)
-                    self._frames[pid] = frame
-                    self._used_pages += npages
-                    self._max_extent_pages = max(self._max_extent_pages,
-                                                 npages)
-            finally:
-                if obs is not None:
-                    obs.end(extents=len(missing),
-                            pages=sum(n for _, n in missing))
+        try:
+            if missing:
+                self._load(missing)
+                frames = [self._frames[pid] for pid, _ in ranges]
+            else:
+                frames = hits
+        finally:
+            # The provisional pins never outlive the call: a load that
+            # raises (wedged pool, exhausted retries, checksum mismatch)
+            # leaves nothing pinned.
+            for frame in hits:
+                frame.pins -= 1
         san = self.model.san
         race = self.model.race
         if san is not None and pin:
             # One batch acquisition: pages latched together are unordered
             # with respect to each other (the pool pins them atomically).
             san.on_latch_acquire([pid for pid, _ in ranges])
-        frames = []
-        for pid, _ in ranges:
-            frame = self._frames[pid]
+        for frame in frames:
             if san is not None:
                 frame.san = san
             if race is not None:
                 frame.race = race
-            self._touch(frame)
             if pin:
                 frame.pins += 1
-            frames.append(frame)
         return frames
+
+    def _load(self, missing: list[tuple[int, int]]) -> None:
+        """Make room for the missing extents and read them as one batch."""
+        obs = self.model.obs
+        pages = sum(n for _, n in missing)
+        if obs is not None:
+            obs.begin("pool.load")
+        try:
+            self._make_room(pages)
+            tickets = [self.io.submit_read(pid, n) for pid, n in missing]
+            self._device_call(self.io.drain)
+            for (pid, npages), ticket in zip(missing, tickets):
+                assert ticket.result is not None
+                self._insert(ExtentFrame(head_pid=pid, npages=npages,
+                                         page_size=self.device.page_size,
+                                         data=bytearray(ticket.result),
+                                         san=self.model.san,
+                                         race=self.model.race))
+        finally:
+            if obs is not None:
+                obs.end(extents=len(missing), pages=pages)
 
     def unpin(self, frames: list[ExtentFrame]) -> None:
         for frame in frames:
@@ -280,9 +317,9 @@ class BufferPoolBase:
 
     def drop(self, head_pid: int) -> None:
         """Remove an extent from the pool (deleted BLOBs); must be clean."""
-        frame = self._frames.pop(head_pid, None)
+        frame = self._frames.get(head_pid)
         if frame is not None:
-            self._used_pages -= frame.npages
+            self._remove(frame)
             if frame.san is not None:
                 frame.san.on_frame_drop(head_pid)
 
@@ -291,49 +328,83 @@ class BufferPoolBase:
             raise ValueError(
                 f"extent batch of {npages} pages exceeds pool capacity "
                 f"{self.capacity_pages}")
-        guard = 0
         while self._used_pages + npages > self.capacity_pages:
-            if not self._evict_one(force=guard > 2 * len(self._frames) + 8):
-                guard += 1
-                if guard > 4 * len(self._frames) + 16:
-                    raise RuntimeError(
-                        "buffer pool wedged: everything pinned or protected")
+            if not self._evict_one():
+                raise RuntimeError(
+                    "buffer pool wedged: everything pinned or protected")
 
-    def _evict_one(self, force: bool = False) -> bool:
-        """Fair (size-weighted) eviction of one extent (Section III-G).
-
-        An N-page extent is accepted with probability proportional to N:
-        ``rand(MAX_EXT_SIZE) < extent_size`` — so large extents leave the
-        pool N times more readily than single pages.
-        """
-        candidates = list(self._frames.values())
-        if not candidates:
+    def _evict_one(self) -> bool:
+        """Evict one extent chosen by :meth:`_pick_victim`; dirty victims
+        are written back first.  False when nothing is evictable."""
+        frame = self._pick_victim()
+        if frame is None:
             return False
-        self._rng.shuffle(candidates)
-        for frame in candidates:
-            if frame.prevent_evict or frame.pins > 0:
-                continue
-            if self.eviction_policy == "fair":
-                accept = force or \
-                    self._rng.randrange(self._max_extent_pages) < frame.npages
-            else:
-                accept = True
-            if not accept:
-                continue
-            obs = self.model.obs
-            if obs is not None:
-                obs.instant("pool.evict", pid=frame.head_pid,
-                            npages=frame.npages, dirty=frame.is_dirty)
-                obs.count("pool.evictions")
-            if frame.is_dirty:
-                self.write_back(frame)
-            del self._frames[frame.head_pid]
-            self._used_pages -= frame.npages
-            self.stats.evictions += 1
-            return True
-        return False
+        obs = self.model.obs
+        if obs is not None:
+            obs.instant("pool.evict", pid=frame.head_pid,
+                        npages=frame.npages, dirty=frame.is_dirty)
+            obs.count("pool.evictions")
+        if frame.is_dirty:
+            self.write_back(frame)
+        self._remove(frame)
+        self.stats.evictions += 1
+        return True
+
+    def _pick_victim(self) -> ExtentFrame | None:
+        """Draw an evictable frame in O(1) expected time (Section III-G).
+
+        The paper's coin, ``rand(MAX_EXT_SIZE) < extent_size``, makes an
+        N-page extent N times as evictable as one page.  The same
+        distribution without a scan: a size class drawn in proportion to
+        its resident pages, a uniform slot in it, accepted with
+        probability ``npages / class_max`` (> 1/2).  A size rejection
+        redraws the slot *inside the class*: going back to the class draw
+        would favour classes whose members sit near their maximum.
+        "uniform" weighs classes by frame count and accepts every slot.
+        Pinned and protected frames are redrawn; after too many in a row
+        one sweep takes the first evictable frame, if there is one.
+        """
+        if not self._frames:
+            return None
+        rng = self._rng
+        fair = self.eviction_policy == "fair"
+        weights = self._bucket_pages if fair \
+            else [len(bucket) for bucket in self._buckets]
+        victim = None
+        probes = 0
+        for _ in range(MAX_VICTIM_REDRAWS):
+            r = rng.randrange(self._used_pages if fair
+                              else len(self._frames))
+            size_class = 0
+            while r >= weights[size_class]:
+                r -= weights[size_class]
+                size_class += 1
+            bucket = self._buckets[size_class]
+            class_max = 1 << size_class
+            while True:
+                frame = bucket[rng.randrange(len(bucket))]
+                probes += 1
+                if not fair or frame.npages == class_max \
+                        or rng.randrange(class_max) < frame.npages:
+                    break
+            if not frame.prevent_evict and frame.pins == 0:
+                victim = frame
+                break
+        else:
+            for frame in self._frames.values():
+                probes += 1
+                if not frame.prevent_evict and frame.pins == 0:
+                    victim = frame
+                    break
+        self.stats.eviction_probes += probes
+        if self.model.obs is not None:
+            self.model.obs.count("pool.evict_probes", probes)
+        return victim
 
     def drop_all_volatile(self) -> None:
         """Crash simulation: all frames vanish without write-back."""
         self._frames.clear()
         self._used_pages = 0
+        for bucket in self._buckets:
+            bucket.clear()
+        self._bucket_pages = [0] * len(self._buckets)

@@ -21,6 +21,7 @@ class EngineReport:
     pool_capacity_pages: int = 0
     pool_hit_ratio: float = 0.0
     pool_evictions: int = 0
+    pool_eviction_probes: int = 0
 
     # Device
     device_bytes_written_by_category: dict[str, int] = field(
@@ -124,6 +125,11 @@ class EngineReport:
             if self.index_probes else 0.0
 
     @property
+    def pool_probes_per_eviction(self) -> float:
+        return self.pool_eviction_probes / self.pool_evictions \
+            if self.pool_evictions else 0.0
+
+    @property
     def pool_fill_fraction(self) -> float:
         if not self.pool_capacity_pages:
             return 0.0
@@ -140,6 +146,7 @@ class EngineReport:
         self.pool_used_pages += other.pool_used_pages
         self.pool_capacity_pages += other.pool_capacity_pages
         self.pool_evictions += other.pool_evictions
+        self.pool_eviction_probes += other.pool_eviction_probes
         for cat, nbytes in other.device_bytes_written_by_category.items():
             self.device_bytes_written_by_category[cat] = \
                 self.device_bytes_written_by_category.get(cat, 0) + nbytes
@@ -205,7 +212,8 @@ class EngineReport:
             f"{self.pool_capacity_pages} pages "
             f"({self.pool_fill_fraction:.0%} full, "
             f"hit ratio {self.pool_hit_ratio:.1%}, "
-            f"{self.pool_evictions} evictions)",
+            f"{self.pool_evictions} evictions, "
+            f"{self.pool_probes_per_eviction:.2f} probes each)",
             f"device:         wrote [{cats}], "
             f"read {self.device_bytes_read >> 10}K "
             f"in {self.device_write_requests} write requests",
@@ -317,6 +325,7 @@ def build_report(db) -> EngineReport:
         pool_capacity_pages=pool.capacity_pages,
         pool_hit_ratio=pool.stats.hit_ratio,
         pool_evictions=pool.stats.evictions,
+        pool_eviction_probes=pool.stats.eviction_probes,
         device_bytes_written_by_category=dict(
             device.stats.bytes_written_by_category),
         device_bytes_read=device.stats.bytes_read,

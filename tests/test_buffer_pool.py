@@ -1,5 +1,8 @@
 """Tests for buffer frames, pools, eviction, and prevent_evict."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.buffer.frames import BlobView, ExtentFrame
@@ -11,9 +14,11 @@ from repro.storage.device import SimulatedNVMe
 PAGE = 4096
 
 
-def make_pool(kind, capacity_pages=64, device_pages=4096, seed=0):
+def make_pool(kind, capacity_pages=64, device_pages=4096, seed=0,
+              page_size=PAGE):
     model = CostModel()
-    device = SimulatedNVMe(model, capacity_pages=device_pages)
+    device = SimulatedNVMe(model, capacity_pages=device_pages,
+                           page_size=page_size)
     cls = VmcachePool if kind == "vmcache" else HashTablePool
     return cls(device, model, capacity_pages, eviction_seed=seed)
 
@@ -202,6 +207,235 @@ class TestEviction:
         pool.allocate_frame(0, 4)
         pool.drop(0)
         assert pool.used_pages == 0
+
+
+class TestFetchPinsItsHits:
+    """``fetch_extents`` must not evict, or leave pinned, its own hits."""
+
+    A, B, C = (0, 2), (10, 2), (20, 2)
+
+    @pytest.mark.parametrize("kind", ["vmcache", "hashtable"])
+    def test_make_room_spares_the_batch_hits(self, kind):
+        # The pool exactly fits [A, B]; loading C must evict B, never the
+        # A this batch returns (the parent raised KeyError on a coin flip).
+        for seed in range(8):
+            pool = make_pool(kind, capacity_pages=4, seed=seed)
+            pool.unpin(pool.fetch_extents([self.A, self.B]))
+            frames = pool.fetch_extents([self.A, self.C])
+            assert [f.head_pid for f in frames] == [0, 20]
+            assert [f.pins for f in frames] == [1, 1]
+            assert not pool.is_resident(10)
+            pool.unpin(frames)
+
+    @pytest.mark.parametrize("kind", ["vmcache", "hashtable"])
+    def test_wedged_fetch_leaves_nothing_pinned(self, kind):
+        # Both residents are hits of the batch, so there is no victim.
+        for seed in range(8):
+            pool = make_pool(kind, capacity_pages=4, seed=seed)
+            pool.unpin(pool.fetch_extents([self.A, self.B]))
+            with pytest.raises(RuntimeError, match="wedged"):
+                pool.fetch_extents([self.A, self.B, self.C])
+            assert sum(f.pins for f in pool._frames.values()) == 0
+            assert pool.is_resident(0) and pool.is_resident(10)
+
+    def test_failed_load_leaves_nothing_pinned(self):
+        pool = make_pool("vmcache", capacity_pages=8)
+        pool.unpin(pool.fetch_extents([self.A]))
+
+        def failing_drain():
+            raise OSError("injected device failure")
+        pool.io.drain = failing_drain
+        with pytest.raises(OSError):
+            pool.fetch_extents([self.A, self.C])
+        assert sum(f.pins for f in pool._frames.values()) == 0
+        assert not pool.is_resident(20)
+
+    def test_unpinned_fetch_releases_its_hits(self):
+        pool = make_pool("vmcache")
+        pool.unpin(pool.fetch_extents([self.A]))
+        frames = pool.fetch_extents([self.A, self.C], pin=False)
+        assert [f.pins for f in frames] == [0, 0]
+
+
+def fill(pool, sizes):
+    """Allocate one evictable frame per entry of ``sizes`` (in pages)."""
+    pid = 0
+    frames = []
+    for npages in sizes:
+        frames.append(pool.allocate_frame(pid, npages, prevent_evict=False))
+        pid += npages
+    return frames
+
+
+def evict_and_reinsert(pool, rounds):
+    """Victim size per round, on a resident set kept fixed: every victim
+    is replaced by a fresh frame of its size before the next draw."""
+    next_pid = 1 << 30
+    sizes = []
+    for _ in range(rounds):
+        before = pool.used_pages
+        assert pool._evict_one()
+        sizes.append(before - pool.used_pages)
+        pool.allocate_frame(next_pid, sizes[-1], prevent_evict=False)
+        next_pid += sizes[-1]
+    return sizes
+
+
+def check_resident_index(pool):
+    """The size-class arrays mirror ``_frames`` exactly."""
+    indexed = [f for bucket in pool._buckets for f in bucket]
+    assert len(indexed) == len(pool._frames)
+    assert {id(f) for f in indexed} == \
+        {id(f) for f in pool._frames.values()}
+    for size_class, bucket in enumerate(pool._buckets):
+        assert pool._bucket_pages[size_class] == \
+            sum(f.npages for f in bucket)
+        for slot, frame in enumerate(bucket):
+            assert frame.slot == slot
+            assert (frame.npages - 1).bit_length() == size_class
+    assert pool.used_pages == sum(f.npages for f in pool._frames.values())
+    assert pool.used_pages <= pool.capacity_pages
+
+
+class TestVictimSampler:
+    """Distribution, determinism and cost of ``_pick_victim`` - all
+    seeded, counted in probes, never timed."""
+
+    ROUNDS = 20_000
+    LADDER = [1, 2, 4, 8, 16, 32, 64, 128]
+
+    def victim_shares(self, policy, counts, seed=3):
+        sizes = [n for n, k in counts.items() for _ in range(k)]
+        pool = make_pool("vmcache", capacity_pages=sum(sizes), seed=seed,
+                         device_pages=1 << 31, page_size=16)
+        pool.eviction_policy = policy   # assigned late, as the ablation does
+        fill(pool, sizes)
+        victims = Counter(evict_and_reinsert(pool, self.ROUNDS))
+        check_resident_index(pool)
+        return {n: victims[n] / self.ROUNDS for n in counts}
+
+    @pytest.mark.parametrize("counts", [
+        # 128 pages per size: 128 one-page frames together are as
+        # evictable as the single 128-page frame.
+        {n: 128 // n for n in LADDER},
+        # Two sizes inside one class (4, 8]: the size coin decides.
+        {5: 48, 8: 30},
+        # 3 sits at 3/4 of its class maximum, 8 at the maximum of its
+        # own: a sampler that went back to the class draw after a size
+        # rejection would starve the 3s by a fifth.
+        {3: 80, 8: 60},
+    ], ids=["ladder", "one-class", "two-classes"])
+    def test_fair_victims_are_proportional_to_pages(self, counts):
+        total = sum(n * k for n, k in counts.items())
+        for n, share in self.victim_shares("fair", counts).items():
+            assert share == pytest.approx(n * counts[n] / total, rel=0.10)
+
+    def test_uniform_victims_ignore_size(self):
+        shares = self.victim_shares("uniform", {n: 16 for n in self.LADDER})
+        for share in shares.values():
+            assert share == pytest.approx(1 / 8, rel=0.10)
+
+    def test_same_seed_same_victims_different_seed_different(self):
+        def victims(seed):
+            pool = make_pool("vmcache", capacity_pages=256, seed=seed)
+            fill(pool, [1, 2, 3, 4, 6, 8, 16] * 6)
+            return evict_and_reinsert(pool, 300)
+        assert victims(7) == victims(7)
+        assert victims(7) != victims(8)
+
+    @pytest.mark.parametrize("sizes", [
+        [1] * 20_000,                  # many frames, one class
+        [2] * 128 + [128] * 2,         # the eviction ablation's mix
+        [3] * 100 + [65] * 4,          # worst case: just above half a class
+    ], ids=["20k-single-page", "ablation-mix", "off-power"])
+    def test_probes_per_eviction_stay_constant(self, sizes):
+        pool = make_pool("vmcache", capacity_pages=sum(sizes), seed=1,
+                         device_pages=1 << 31, page_size=16)
+        fill(pool, sizes)
+        evict_and_reinsert(pool, 5_000)
+        assert pool.stats.evictions == 5_000
+        assert pool.stats.eviction_probes / pool.stats.evictions <= 4
+
+    def test_pinned_and_protected_frames_are_never_chosen(self):
+        pool = make_pool("vmcache", capacity_pages=400, seed=2)
+        frames = fill(pool, [1, 2, 4, 8] * 20)
+        spared = set()
+        for i, frame in enumerate(frames):
+            if i % 3 == 0:
+                frame.pins = 1
+            elif i % 3 == 1:
+                frame.prevent_evict = True
+            else:
+                continue
+            spared.add(frame.head_pid)
+        for _ in range(3_000):
+            victim = pool._pick_victim()
+            assert victim.head_pid not in spared
+        # All but one evictable frame gone: the sweep still finds it.
+        for frame in frames:
+            if frame.head_pid not in spared and frame is not frames[2]:
+                pool.drop(frame.head_pid)
+        assert pool._pick_victim() is frames[2]
+
+    def test_all_pinned_pool_is_wedged_after_one_sweep(self):
+        pool = make_pool("vmcache", capacity_pages=5_000,
+                         device_pages=1 << 20, page_size=16)
+        for frame in fill(pool, [1] * 5_000):
+            frame.pins = 1
+        with pytest.raises(RuntimeError, match="wedged"):
+            pool.allocate_frame(1 << 19, 1)
+        assert pool.stats.evictions == 0
+        assert 5_000 <= pool.stats.eviction_probes <= 2 * 5_000
+
+    def test_probe_counter_reaches_obs_and_report(self):
+        from repro import obs
+        from repro.db import BlobDB, EngineConfig
+        db = BlobDB(EngineConfig(device_pages=4096, wal_pages=128,
+                                 catalog_pages=64, buffer_pool_pages=64))
+        db.create_table("t")
+        assert "0 evictions, 0.00 probes each" in db.stats_report().format()
+        tracer = obs.attach(db.model)
+        for i in range(40):
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"k%d" % i, bytes(3 * PAGE))
+        report = db.stats_report()
+        assert report.pool_evictions > 0
+        assert report.pool_eviction_probes == db.pool.stats.eviction_probes
+        assert 1 <= report.pool_probes_per_eviction <= 4
+        assert f"{report.pool_probes_per_eviction:.2f} probes each" \
+            in report.format()
+        counters = tracer.metrics.counters
+        assert counters["pool.evict_probes"].total() == \
+            report.pool_eviction_probes
+        assert counters["pool.evictions"].total() == report.pool_evictions
+
+    @pytest.mark.parametrize("kind", ["vmcache", "hashtable"])
+    def test_random_churn_keeps_the_index_consistent(self, kind):
+        pool = make_pool(kind, capacity_pages=96, seed=4,
+                         device_pages=1 << 20, page_size=16)
+        rng = random.Random(11)
+        next_pid = 0
+        for step in range(4_000):
+            roll = rng.random()
+            if roll < 0.55:                      # insert (evicts when full)
+                npages = rng.choice([1, 1, 2, 3, 4, 7, 8, 16, 33])
+                if roll < 0.30:
+                    pool.allocate_frame(next_pid, npages,
+                                        prevent_evict=False)
+                else:
+                    pool.fetch_extents([(next_pid, npages)], pin=False)
+                next_pid += npages
+            elif roll < 0.80 and pool._frames:   # drop a resident extent
+                pool.drop(rng.choice(list(pool._frames)))
+            elif roll < 0.995:                   # plain eviction
+                pool._evict_one()
+            else:                                # crash
+                pool.drop_all_volatile()
+            if step % 50 == 0:
+                check_resident_index(pool)
+        pool.drop(next_pid)                      # absent: a no-op
+        check_resident_index(pool)
+        assert pool.stats.evictions > 500
 
 
 class TestReadBlobViews:
