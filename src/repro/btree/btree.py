@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Any, Callable, Iterator
 
 from repro.sim.cost import CostModel
@@ -45,12 +47,15 @@ class BTreeStats:
 
 
 class _Node:
-    __slots__ = ("keys", "values", "children")
+    __slots__ = ("keys", "values", "children", "key_bytes")
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
         self.values: list[Any] = []       # leaves only
         self.children: list["_Node"] = []  # inner nodes only
+        #: Running sum of ``key_size`` over ``keys``, maintained by every
+        #: mutation so the overfull checks never re-sum the node.
+        self.key_bytes = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -85,6 +90,10 @@ class BTree:
         if node_bytes < 64:
             raise ValueError("node_bytes too small to hold any entry")
         self._cmp = cmp or bytes_cmp
+        #: ``bisect`` key wrapper: a supplied comparator is called through
+        #: ``cmp_to_key``; without one, keys compare natively (which is
+        #: what ``bytes_cmp`` does).
+        self._sort_key = cmp_to_key(cmp) if cmp is not None else None
         self._key_size = key_size or (lambda k: len(k))
         self._node_bytes = node_bytes
         self._entry_overhead = entry_overhead
@@ -108,8 +117,7 @@ class BTree:
         n = len(node.keys)
         if n == 0:
             return 0
-        sizes = [self._key_size(k) for k in node.keys]
-        total = sum(sizes) + n * self._entry_overhead
+        total = node.key_bytes + n * self._entry_overhead
         prefix = self._node_prefix_len(node)
         # The shared prefix is stored once instead of n times.
         return total - prefix * (n - 1)
@@ -124,11 +132,15 @@ class BTree:
         return 0
 
     def _inner_bytes(self, node: _Node) -> int:
-        total = sum(self._key_size(k) for k in node.keys)
-        return total + len(node.children) * self._entry_overhead
+        return node.key_bytes + len(node.children) * self._entry_overhead
 
     def _leaf_overfull(self, node: _Node) -> bool:
-        return len(node.keys) > 1 and self._leaf_bytes(node) > self._node_bytes
+        n = len(node.keys)
+        # Prefix compression only shrinks a leaf, so one that fits
+        # uncompressed fits: the prefix is computed only near the budget.
+        return n > 1 \
+            and node.key_bytes + n * self._entry_overhead > self._node_bytes \
+            and self._leaf_bytes(node) > self._node_bytes
 
     def _inner_overfull(self, node: _Node) -> bool:
         return len(node.children) > 2 and self._inner_bytes(node) > self._node_bytes
@@ -150,27 +162,22 @@ class BTree:
 
     # -- search helpers -----------------------------------------------------------
 
+    # Both searches are ``bisect``'s loops: the same midpoints, and per
+    # probe the same one comparator call in the same argument order —
+    # ``cmp(keys[mid], key)`` for the lower bound, ``cmp(key, keys[mid])``
+    # for the child index — so a comparator that charges for the content
+    # it reads is charged exactly as by a hand-written binary search.
+
     def _lower_bound(self, keys: list[Any], key: Any) -> int:
         """First index whose key is >= ``key``."""
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cmp(keys[mid], key) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        wrap = self._sort_key
+        return bisect_left(keys, key if wrap is None else wrap(key), key=wrap)
 
     def _child_index(self, node: _Node, key: Any) -> int:
         """Index of the child subtree that may contain ``key``."""
-        lo, hi = 0, len(node.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cmp(key, node.keys[mid]) < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        wrap = self._sort_key
+        return bisect_right(node.keys, key if wrap is None else wrap(key),
+                            key=wrap)
 
     # -- public operations -----------------------------------------------------------
 
@@ -181,6 +188,7 @@ class BTree:
             sep, right = split
             new_root = _Node()
             new_root.keys = [sep]
+            new_root.key_bytes = self._key_size(sep)
             new_root.children = [self._root, right]
             self._root = new_root
 
@@ -193,6 +201,7 @@ class BTree:
                 return None
             node.keys.insert(idx, key)
             node.values.insert(idx, value)
+            node.key_bytes += self._key_size(key)
             self._count += 1
             if self._leaf_overfull(node):
                 return self._split_leaf(node)
@@ -203,6 +212,7 @@ class BTree:
             sep, right = split
             node.keys.insert(ci, sep)
             node.children.insert(ci + 1, right)
+            node.key_bytes += self._key_size(sep)
             if self._inner_overfull(node):
                 return self._split_inner(node)
         return None
@@ -214,6 +224,8 @@ class BTree:
         right.values = node.values[mid:]
         node.keys = node.keys[:mid]
         node.values = node.values[:mid]
+        right.key_bytes = sum(map(self._key_size, right.keys))
+        node.key_bytes -= right.key_bytes
         sep = self._separator(node.keys[-1], right.keys[0])
         return sep, right
 
@@ -225,6 +237,8 @@ class BTree:
         right.children = node.children[mid + 1:]
         node.keys = node.keys[:mid]
         node.children = node.children[:mid + 1]
+        right.key_bytes = sum(map(self._key_size, right.keys))
+        node.key_bytes -= right.key_bytes + self._key_size(sep)
         return sep, right
 
     def lookup(self, key: Any) -> Any | None:
@@ -259,7 +273,7 @@ class BTree:
         if node.is_leaf:
             idx = self._lower_bound(node.keys, key)
             if idx < len(node.keys) and self._cmp(node.keys[idx], key) == 0:
-                node.keys.pop(idx)
+                node.key_bytes -= self._key_size(node.keys.pop(idx))
                 node.values.pop(idx)
                 self._count -= 1
                 return True
@@ -269,7 +283,7 @@ class BTree:
         removed = self._delete(child, key)
         if removed and not child.keys and child.is_leaf and len(node.children) > 1:
             node.children.pop(ci)
-            node.keys.pop(max(0, ci - 1))
+            node.key_bytes -= self._key_size(node.keys.pop(max(0, ci - 1)))
         return removed
 
     def scan(self, start: Any | None = None,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.core.extent import TailExtent, extent_page_ranges
 from repro.core.tier import TierTable
@@ -80,6 +81,13 @@ class BlobState:
 
     def serialize(self) -> bytes:
         """Binary encoding stored in the owning tuple and in the WAL."""
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
+        # Encoded once per instance: the state is frozen, every
+        # checkpoint re-encodes the whole catalog, and ``replace()``
+        # builds a fresh object (with no cached encoding) for any change.
         flags = _FLAG_TAIL if self.tail_extent is not None else 0
         parts = [
             _HEADER.pack(_MAGIC, flags, self.size),
@@ -123,7 +131,7 @@ class BlobState:
                    prefix=prefix, extent_pids=pids, tail_extent=tail)
 
     def serialized_size(self) -> int:
-        return len(self.serialize())
+        return len(self._encoded)
 
     # -- functional updates -----------------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.core.tier import TierTable
 from repro.db.catalog import CatalogSnapshot, Superblock, decode_value
 from repro.db.config import EngineConfig
 from repro.db.errors import WalCorruptionError
+from repro.io import IoScheduler
 from repro.sim.cost import CostModel
 from repro.storage.device import SimulatedNVMe
 from repro.wal.records import (
@@ -39,7 +40,13 @@ from repro.wal.records import (
     find_frame_beyond,
     scan_records,
 )
-from repro.wal.writer import scan_region
+from repro.wal.writer import SCAN_CHUNK_PAGES, SCAN_QUEUE_DEPTH, scan_region
+
+#: Page budget of one verifier window (8 MiB of 4 KiB pages): the extents
+#: of this many pages' worth of Blob States are queued and drained as one
+#: deep-queue batch.  A window always admits at least one state, so a
+#: BLOB larger than the budget still verifies (alone in its window).
+VERIFY_WINDOW_PAGES = 2048
 
 
 @dataclass
@@ -67,6 +74,13 @@ class RecoveredState:
     extents_quarantined: int = 0
     #: Keys whose content was restored by replaying physical WAL records.
     repaired_keys: int = 0
+    #: Blob States digest-checked by Analysis (every live BLOB, plus each
+    #: fallback version a failed transaction exposes).
+    blobs_validated: int = 0
+    #: Data-device read commands / bytes Analysis issued to produce them
+    #: (verifier batches plus repair-on-demand page reads).
+    validation_read_requests: int = 0
+    validation_bytes_read: int = 0
 
 
 def _io(retry, op):
@@ -162,14 +176,22 @@ def _recover_state_body(device: SimulatedNVMe, config: EngineConfig,
     overlays: dict[tuple[str, bytes], tuple[int, dict]] = {}
     if obs is not None:
         obs.begin("recovery.analysis")
+    reads_before = device.stats.snapshot()
     try:
         _analysis_fixpoint(device, model, tiers, config, records, committed,
                            failed, repaired, verified, quarantined, overlays,
                            snapshot_tables, state, retry)
     finally:
+        reads = device.stats.delta_since(reads_before)
+        state.validation_read_requests = reads.read_requests
+        state.validation_bytes_read = reads.bytes_read
         if obs is not None:
             obs.end(failed_txns=len(failed), quarantined=len(quarantined),
-                    repaired=len(overlays))
+                    repaired=len(overlays), validated=state.blobs_validated,
+                    read_requests=reads.read_requests,
+                    bytes_read=reads.bytes_read)
+            obs.count("recovery.validated", state.blobs_validated)
+            obs.count("recovery.validate_reads", reads.read_requests)
     state.failed_txns = sorted(failed)
     state.quarantined = sorted(quarantined)
     valid = committed - failed
@@ -198,21 +220,30 @@ def _recover_state_body(device: SimulatedNVMe, config: EngineConfig,
 def _analysis_fixpoint(device, model, tiers, config, records, committed,
                        failed, repaired, verified, quarantined, overlays,
                        snapshot_tables, state, retry) -> None:
-    """The validate/repair/fail fixpoint of the Analysis phase."""
+    """The validate/repair/fail fixpoint of the Analysis phase.
+
+    Each round digest-checks every live Blob State still lacking a
+    verdict in one batched pass, then takes the decisions in ``live``
+    order — so a key of a transaction failed earlier in the round is
+    skipped exactly as if it had never been read.
+    """
     while True:
         valid = committed - failed
         live = _compute_live(snapshot_tables, records, valid)
+        pending = [(table, key, txn_id, value)
+                   for (table, key), (txn_id, value) in live.items()
+                   if isinstance(value, BlobState)
+                   and (table, key, txn_id) not in verified
+                   and (table, key) not in quarantined]
+        verdicts = verify_states(device, model, tiers, config.page_size,
+                                 [value for *_, value in pending], retry)
+        state.blobs_validated += len(pending)
         newly: set[int] = set()
-        for (table, key), (txn_id, value) in live.items():
-            if txn_id in failed or txn_id in newly:
-                continue
-            if not isinstance(value, BlobState):
+        for (table, key, txn_id, value), intact in zip(pending, verdicts):
+            if txn_id in newly:
                 continue
             mark = (table, key, txn_id)
-            if mark in verified or (table, key) in quarantined:
-                continue
-            if _content_valid(device, model, tiers, config.page_size, value,
-                              retry=retry):
+            if intact:
                 verified.add(mark)
                 continue
             if mark not in repaired:
@@ -394,27 +425,80 @@ def _apply_logical(page, page_size: int, tiers: TierTable, state: BlobState,
 def _content_valid(device, model, tiers, page_size, state: BlobState,
                    overlay: dict[int, bytearray] | None = None,
                    retry=None) -> bool:
-    """Digest-check a state's content, optionally through a repair
-    overlay of not-yet-committed page images."""
-    hasher = new_hasher("fast")
-    remaining = state.size
-    for pid, npages in state.page_ranges(tiers):
-        if remaining <= 0:
-            break
-        raw = _io(retry, lambda p=pid, n=npages: device.read(
-            p, n, verify=False))
-        if overlay:
-            patched = bytearray(raw)
-            for i in range(npages):
-                image = overlay.get(pid + i)
-                if image is not None:
-                    patched[i * page_size:(i + 1) * page_size] = image
-            raw = bytes(patched)
-        take = min(remaining, npages * page_size)
-        hasher.update(raw[:take])
-        remaining -= take
-    model.hash_bytes(state.size)
-    return hasher.digest() == state.sha256
+    """Digest-check one state, optionally through a repair overlay of
+    not-yet-committed page images."""
+    return verify_states(device, model, tiers, page_size, [state], retry,
+                         overlays=[overlay])[0]
+
+
+def verify_states(device, model, tiers, page_size, states, retry,
+                  overlays=None) -> list[bool]:
+    """Digest-check ``states`` against the device; verdicts in input order.
+
+    The one BLOB verifier (recovery Analysis and ``BlobDB.scrub``):
+    states are visited in physical order, and the extents of a window
+    of them — :data:`VERIFY_WINDOW_PAGES` pages, at least one state —
+    are queued on a deep-queue scheduler and drained as one batch, so
+    command latencies overlap and adjacent extents coalesce; each state
+    is then hashed from its own tickets.  Only the pages the digest
+    covers are read (an extent's unused tail is not), unverified,
+    because the SHA-256 is the stronger check.  A transient fault fails
+    the drain with its queue intact, so the retry policy resubmits the
+    whole window.  ``overlays``, parallel to ``states``, patches repair
+    page images over what was read.
+    """
+    scheduler = IoScheduler(device, model, queue_depth=SCAN_QUEUE_DEPTH,
+                            max_merge_pages=SCAN_CHUNK_PAGES)
+    verdicts = [False] * len(states)
+    window: list[tuple[int, list]] = []
+    window_pages = 0
+
+    def settle() -> None:
+        nonlocal window_pages
+        _io(retry, lambda: scheduler.drain(verify=False))
+        for i, tickets in window:
+            state = states[i]
+            overlay = overlays[i] if overlays else None
+            hasher = new_hasher("fast")
+            remaining = state.size
+            for ticket in tickets:
+                raw = ticket.result
+                if overlay:
+                    patched = bytearray(raw)
+                    for page in range(ticket.npages):
+                        image = overlay.get(ticket.pid + page)
+                        if image is not None:
+                            patched[page * page_size:
+                                    (page + 1) * page_size] = image
+                    raw = patched
+                take = min(remaining, len(raw))
+                hasher.update(memoryview(raw)[:take])
+                remaining -= take
+            model.hash_bytes(state.size)
+            verdicts[i] = hasher.digest() == state.sha256
+        window.clear()
+        window_pages = 0
+
+    # Physical order, so neighbours on the device share a window and merge.
+    ranges = [state.page_ranges(tiers) for state in states]
+    for i in sorted(range(len(states)),
+                    key=lambda n: ranges[n][0][0] if ranges[n] else -1):
+        state = states[i]
+        used = state.used_pages(page_size)
+        if window and window_pages + used > VERIFY_WINDOW_PAGES:
+            settle()
+        tickets = []
+        remaining = used
+        for pid, npages in ranges[i]:
+            if remaining <= 0:
+                break
+            take = min(npages, remaining)
+            tickets.append(scheduler.submit_read(pid, take))
+            remaining -= take
+        window.append((i, tickets))
+        window_pages += used
+    settle()
+    return verdicts
 
 
 def _redo_logical(state: RecoveredState, records, valid: set[int],

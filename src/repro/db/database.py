@@ -778,12 +778,15 @@ class BlobDB:
     def scrub(self) -> ScrubStats:
         """Background scrub: re-digest every live BLOB against its state.
 
-        Reads content unverified (the digest is the stronger check),
-        retries transient faults, and quarantines any BLOB whose
-        recomputed SHA no longer matches — after which reads surface
-        :class:`~repro.db.errors.ChecksumMismatchError` instead of wrong
-        bytes.  All device reads and hashing are charged to the cost
-        model: scrubbing is real, priced background work.
+        Runs the table scan through recovery's batched verifier
+        (:func:`repro.core.recovery.verify_states`): content is read in
+        deep-queue windows, unverified (the digest is the stronger
+        check), transient faults are retried, and any BLOB whose
+        recomputed SHA no longer matches is quarantined — after which
+        reads surface :class:`~repro.db.errors.ChecksumMismatchError`
+        instead of wrong bytes.  All device reads and hashing are
+        charged to the cost model: scrubbing is real, priced background
+        work.
         """
         obs = self.model.obs
         if obs is None:
@@ -796,33 +799,23 @@ class BlobDB:
                     corrupt=self.scrub_stats.corrupt_found)
 
     def _scrub_body(self) -> ScrubStats:
-        from repro.core.hashing import new_hasher
-        ps = self.config.page_size
-        for table in [_TABLES_TABLE] + self.list_tables():
-            for key, value in list(self._tables[table].scan()):
-                if not isinstance(value, BlobState):
-                    continue
-                if (table, key) in self._quarantined:
-                    continue
-                hasher = new_hasher(self.config.hasher)
-                remaining = value.size
-                for pid, npages in value.page_ranges(self.tiers):
-                    if remaining <= 0:
-                        break
-                    raw = self.retry.run(
-                        lambda p=pid, n=npages: self.device.read(
-                            p, n, verify=False))
-                    take = min(remaining, npages * ps)
-                    hasher.update(raw[:take])
-                    remaining -= take
-                self.model.hash_bytes(value.size)
-                self.scrub_stats.blobs_scanned += 1
-                self.scrub_stats.bytes_scanned += value.size
-                if hasher.digest() != value.sha256:
-                    self.scrub_stats.corrupt_found += 1
-                    self._quarantined.add((table, key))
-                    self.quarantined_extents += value.num_extents + \
-                        (1 if value.tail_extent is not None else 0)
+        from repro.core.recovery import verify_states
+        blobs = [(table, key, value)
+                 for table in [_TABLES_TABLE] + self.list_tables()
+                 for key, value in self._tables[table].scan()
+                 if isinstance(value, BlobState)
+                 and (table, key) not in self._quarantined]
+        verdicts = verify_states(self.device, self.model, self.tiers,
+                                 self.config.page_size,
+                                 [value for *_, value in blobs], self.retry)
+        for (table, key, value), intact in zip(blobs, verdicts):
+            self.scrub_stats.blobs_scanned += 1
+            self.scrub_stats.bytes_scanned += value.size
+            if not intact:
+                self.scrub_stats.corrupt_found += 1
+                self._quarantined.add((table, key))
+                self.quarantined_extents += value.num_extents + \
+                    (1 if value.tail_extent is not None else 0)
         return self.scrub_stats
 
     # -- crash & recovery ------------------------------------------------------------------------

@@ -71,6 +71,8 @@ class EngineReport:
     extents_quarantined: int = 0
     keys_quarantined: int = 0
     keys_repaired: int = 0
+    recovery_blobs_validated: int = 0
+    recovery_validation_reads: int = 0
     scrub_blobs_scanned: int = 0
     scrub_corrupt_found: int = 0
 
@@ -118,6 +120,11 @@ class EngineReport:
     def extent_reuse_ratio(self) -> float:
         total = self.extents_fresh + self.extents_reused
         return self.extents_reused / total if total else 0.0
+
+    @property
+    def recovery_reads_per_blob(self) -> float:
+        return self.recovery_validation_reads / self.recovery_blobs_validated \
+            if self.recovery_blobs_validated else 0.0
 
     @property
     def index_delta_hit_ratio(self) -> float:
@@ -185,6 +192,8 @@ class EngineReport:
         self.extents_quarantined += other.extents_quarantined
         self.keys_quarantined += other.keys_quarantined
         self.keys_repaired += other.keys_repaired
+        self.recovery_blobs_validated += other.recovery_blobs_validated
+        self.recovery_validation_reads += other.recovery_validation_reads
         self.scrub_blobs_scanned += other.scrub_blobs_scanned
         self.scrub_corrupt_found += other.scrub_corrupt_found
         if not self.index_structure:
@@ -236,6 +245,8 @@ class EngineReport:
             f"{self.checksum_failures} checksum failures / "
             f"{self.checksum_pages_verified} pages verified, "
             f"{self.wal_records_truncated} WAL truncations, "
+            f"{self.recovery_blobs_validated} BLOBs validated, "
+            f"{self.recovery_reads_per_blob:.2f} reads each, "
             f"{self.keys_repaired} keys repaired, "
             f"{self.keys_quarantined} keys "
             f"({self.extents_quarantined} extents) quarantined",
@@ -362,6 +373,10 @@ def build_report(db) -> EngineReport:
         extents_quarantined=db.quarantined_extents,
         keys_quarantined=len(db._quarantined),
         keys_repaired=recovery.repaired_keys if recovery else 0,
+        recovery_blobs_validated=(recovery.blobs_validated
+                                  if recovery else 0),
+        recovery_validation_reads=(recovery.validation_read_requests
+                                   if recovery else 0),
         scrub_blobs_scanned=db.scrub_stats.blobs_scanned,
         scrub_corrupt_found=db.scrub_stats.corrupt_found,
         index_structure=db.config.index_structure,

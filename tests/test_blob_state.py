@@ -80,6 +80,16 @@ class TestSerialization:
         state = make_state(data, extent_pids=pids)
         assert BlobState.deserialize(state.serialize()) == state
 
+    def test_encoding_is_built_once_and_never_inherited(self):
+        state = make_state(b"m" * 100, extent_pids=(4, 9))
+        assert state.serialize() is state.serialize()
+        assert state.serialized_size() == len(state.serialize())
+        moved = state.with_extents((4, 9, 17))
+        assert moved.serialize() != state.serialize()
+        assert BlobState.deserialize(moved.serialize()) == moved
+        assert moved == make_state(b"m" * 100, extent_pids=(4, 9, 17))
+        assert hash(moved) == hash(BlobState.deserialize(moved.serialize()))
+
     def test_compact_metadata_for_huge_blobs(self):
         """Paper: ~801-byte Blob State refers to a >16 TB BLOB (8 tiers/level)."""
         tiers = ExtentTier(tiers_per_level=8)

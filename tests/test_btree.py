@@ -1,5 +1,6 @@
 """Tests for the byte-budgeted prefix-compressed B-Tree."""
 
+import hashlib
 import random
 
 import pytest
@@ -228,3 +229,129 @@ class TestPropertyBased:
             assert tree.lookup(k) == k
         for k in to_delete:
             assert tree.lookup(k) is None
+
+
+# -- running key_bytes and bisect searches: same tree as the hand-written code
+
+
+def stream_key(i: int) -> bytes:
+    return b"user/%05d/" % i + b"x" * (i * 7 % 23)
+
+
+def run_stream(tree, seed, n_ops=20_000, every=2_000):
+    """Seeded insert / replace / delete stream; ``stats()`` every
+    ``every`` ops as (height, leaves, inners, entries, leaf B, inner B)."""
+    rng = random.Random(seed)
+    pins = []
+    for op in range(1, n_ops + 1):
+        k = stream_key(rng.randrange(3000))
+        if rng.random() < 0.35:
+            tree.delete(k)
+        else:
+            tree.insert(k, op)
+        if op % every == 0:
+            s = tree.stats()
+            pins.append((s.height, s.leaf_count, s.inner_count,
+                         s.entry_count, s.leaf_key_bytes, s.inner_key_bytes))
+    return pins
+
+
+#: ``run_stream(BTree(node_bytes=N), seed=14)`` at the parent commit, whose
+#: nodes re-summed ``key_size`` on every overfull check.
+PARENT_STATS = {
+    256: [(4, 181, 31, 990, 31084, 5069), (4, 285, 47, 1469, 45931, 7995),
+          (4, 337, 53, 1708, 53447, 9439), (4, 380, 63, 1790, 55918, 10712),
+          (4, 397, 66, 1902, 59450, 11199), (4, 410, 67, 1932, 60190, 11552),
+          (4, 428, 69, 1926, 60207, 12052), (4, 437, 69, 1923, 60102, 12284),
+          (4, 445, 70, 1919, 60115, 12508), (4, 453, 73, 1924, 60230, 12764)],
+    4096: [(2, 10, 1, 990, 30894, 248), (2, 16, 1, 1469, 45814, 401),
+           (2, 17, 1, 1708, 53425, 426), (2, 18, 1, 1790, 55779, 452),
+           (2, 19, 1, 1902, 59392, 477), (2, 20, 1, 1932, 60102, 502),
+           (2, 22, 1, 1926, 59958, 553), (2, 23, 1, 1923, 59790, 579),
+           (2, 23, 1, 1919, 59762, 579), (2, 23, 1, 1924, 59829, 579)],
+}
+
+
+def reference_lower_bound(cmp, keys, key):
+    """The parent commit's hand-written search (kept as the reference)."""
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cmp(keys[mid], key) < 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def reference_child_index(cmp, keys, key):
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cmp(key, keys[mid]) < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def assert_key_bytes(node, key_size):
+    """Every node's running ``key_bytes`` equals the recomputed sum."""
+    assert node.key_bytes == sum(key_size(k) for k in node.keys)
+    for child in node.children:
+        assert_key_bytes(child, key_size)
+
+
+class TestRunningSizesAndBisect:
+    @pytest.mark.parametrize("node_bytes", [256, 4096])
+    def test_stream_builds_the_parents_tree(self, node_bytes):
+        tree = BTree(node_bytes=node_bytes)
+        assert run_stream(tree, seed=14) == PARENT_STATS[node_bytes]
+        assert_key_bytes(tree._root, len)
+
+    def test_key_bytes_follows_a_custom_key_size(self):
+        tree = BTree(node_bytes=256, key_size=lambda k: 3 * len(k) + 1)
+        run_stream(tree, seed=3, n_ops=3000)
+        assert_key_bytes(tree._root, lambda k: 3 * len(k) + 1)
+
+    def test_searches_call_the_comparator_as_the_reference_does(self):
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return (a > b) - (a < b)
+
+        tree = BTree(cmp=recording, key_size=lambda k: 8)
+        rng = random.Random(21)
+        for n in list(range(0, 40)) + [97, 256]:
+            keys = sorted(rng.sample(range(1000), n))
+            node = type(tree._root)()
+            node.keys = keys
+            for probe in [-1, 1000] + rng.sample(range(1000), 12) + keys[:3]:
+                for search, reference in (
+                        (lambda: tree._lower_bound(keys, probe),
+                         reference_lower_bound),
+                        (lambda: tree._child_index(node, probe),
+                         reference_child_index)):
+                    calls.clear()
+                    got = search()
+                    seen = list(calls)
+                    calls.clear()
+                    assert got == reference(recording, keys, probe)
+                    assert seen == calls
+
+    def test_recorded_comparator_stream_matches_the_parent(self):
+        """Whole-tree check: every comparator call of a 4 000-op stream
+        plus a range scan, in order, hashes to the parent's digest."""
+        calls = []
+
+        def recording(a, b):
+            calls.append((a, b))
+            return (a > b) - (a < b)
+
+        tree = BTree(cmp=recording, node_bytes=256)
+        run_stream(tree, seed=15, n_ops=4000)
+        list(tree.scan(stream_key(100), stream_key(900)))
+        assert len(calls) == 43827
+        assert hashlib.sha256(repr(calls).encode()).hexdigest() == \
+            "fdf574667dee99699e9478157c0f15859cfa74f960390ad355a7ad3d48c38042"

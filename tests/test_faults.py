@@ -334,6 +334,27 @@ class TestQuarantineAndScrub:
         db.scrub()
         assert db.model.clock.now_ns > before
 
+    def test_scrub_reads_at_queue_depth(self):
+        """512 one-page BLOBs scrub as a few deep-queue batches, not as
+        512 serialized read latencies."""
+        db = BlobDB(small_config(hasher="reference"))
+        db.create_table("t")
+        for i in range(512):
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"k%03d" % i, bytes([i % 251]) * 4000)
+        db.drain_commit_window()
+        rotted = db.get_state("t", b"k300").page_ranges(db.tiers)[0][0]
+        db.device._poke(rotted, b"rot")
+        reads = db.device.stats.read_requests
+        before = db.model.clock.now_ns
+        stats = db.scrub()
+        elapsed = db.model.clock.now_ns - before
+        assert stats.blobs_scanned == 512 and stats.corrupt_found == 1
+        assert stats.bytes_scanned == 512 * 4000
+        assert db._quarantined == {("t", b"k300")}
+        assert elapsed < 512 * db.model.params.ssd_read_latency_ns / 10
+        assert db.device.stats.read_requests - reads <= 512 // 64 + 1
+
     def test_deleting_quarantined_blob_clears_the_flag(self):
         db = BlobDB(small_config())
         self._put_one(db, b"\x11" * 5000)

@@ -208,6 +208,16 @@ class TestInstrumentedEngine:
         recovery = [e for e in tracer.events if e.name == "recovery"][0]
         assert recovery.dur_ns >= 0
         assert tracer.depth == 0
+        info = recovered.recovery_info
+        analysis = [e for e in tracer.events
+                    if e.name == "recovery.analysis"][0]
+        assert analysis.args["validated"] == info.blobs_validated > 0
+        assert analysis.args["read_requests"] == info.validation_read_requests
+        assert analysis.args["bytes_read"] == info.validation_bytes_read > 0
+        counters = tracer.metrics.counters
+        assert counters["recovery.validated"].total() == info.blobs_validated
+        assert counters["recovery.validate_reads"].total() \
+            == info.validation_read_requests
 
     def test_spans_balanced_across_occ_abort(self):
         from repro.db.errors import TransactionConflict

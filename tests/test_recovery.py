@@ -6,9 +6,18 @@ durability and the extent flush must be detected by the SHA-256
 validation and rolled back (the "failed transaction" undo list).
 """
 
+import hashlib
+import random
+
 import pytest
 
+from repro.core import recovery
+from repro.core.recovery import VERIFY_WINDOW_PAGES, verify_states
 from repro.db import BlobDB, EngineConfig
+from repro.db.errors import DeviceIOError
+from repro.sim.cost import CostModel
+from repro.storage.device import SimulatedNVMe
+from repro.storage.faults import FaultPlan, FaultSpec, FaultyNVMe
 
 
 def small_config(**overrides):
@@ -263,7 +272,6 @@ class TestPhyslogRecovery:
         recovered = crash_and_recover(db)
         with recovered.transaction() as txn:
             recovered.append_blob(txn, "image", b"g", b"post-crash")
-        import hashlib
         content = recovered.read_blob("image", b"g")
         assert content == b"pre-crash|post-crash"
         state = recovered.get_state("image", b"g")
@@ -294,3 +302,249 @@ class TestRecoveryOfUpdates:
                                  scheme="clone")
         recovered = crash_and_recover(db)
         assert recovered.read_blob("image", b"u")[:5] == b"CLONE"
+
+
+# -- the batched BLOB verifier ------------------------------------------------
+
+
+def record_reads(device):
+    """Wrap ``device.submit``; returns the per-batch lists of
+    ``(pid, npages)`` read commands it was handed."""
+    batches = []
+    inner = device.submit
+
+    def submit(requests, **kwargs):
+        reads = [(r.pid, r.npages) for r in requests if not r.is_write]
+        if reads:
+            batches.append(reads)
+        return inner(requests, **kwargs)
+
+    device.submit = submit
+    return batches
+
+
+def build_faulted_store():
+    """A seeded 300-BLOB store with three planted faults; returns the
+    crashed ``(device, config, contents)``."""
+    rng = random.Random(14)
+    config = small_config(wal_pages=1024)
+    db = BlobDB(config)
+    db.create_table("t")
+    contents = {}
+
+    def put(key, nbytes):
+        contents[key] = rng.randbytes(nbytes)
+        with db.transaction() as txn:
+            db.put_blob(txn, "t", key, contents[key])
+
+    for i in range(200):
+        put(b"snap/%03d" % i, rng.randrange(1, 40_000))
+    db.checkpoint()
+    for i in range(98):
+        put(b"wal/%03d" % i, rng.randrange(1, 40_000))
+    for key in (b"torn/a", b"torn/b"):
+        contents[key] = rng.randbytes(30_000)
+    with db.transaction() as txn:
+        db.put_blob(txn, "t", b"torn/a", contents[b"torn/a"])
+        db.put_blob(txn, "t", b"torn/b", contents[b"torn/b"])
+    before_delta = db.device.peek(
+        db.get_state("t", b"wal/007").page_ranges(db.tiers)[0][0], 1)
+    with db.transaction() as txn:
+        db.update_blob_range(txn, "t", b"wal/007", 10, b"DELTA",
+                             scheme="delta")
+    contents[b"wal/007"] = (contents[b"wal/007"][:10] + b"DELTA"
+                            + contents[b"wal/007"][15:])
+    db.drain_commit_window()
+    db.wal.sync_flush()
+    ps = config.page_size
+    # 1. Bit rot in a snapshot-owned BLOB: nothing to repair it from.
+    pid = db.get_state("t", b"snap/042").page_ranges(db.tiers)[0][0]
+    page = bytearray(db.device.peek(pid, 1))
+    page[17] ^= 0x04
+    db.device._poke(pid, bytes(page))
+    # 2. A torn extent of a WAL-owned BLOB whose transaction also wrote
+    #    a second key: the page keeps a prefix of the new content.
+    pid = db.get_state("t", b"torn/a").page_ranges(db.tiers)[-1][0]
+    db.device._poke(pid, db.device.peek(pid, 1)[:100] + bytes(ps - 100))
+    # 3. A torn in-place delta write: the page reverts to its pre-image,
+    #    which the logged delta record can redo.
+    pid = db.get_state("t", b"wal/007").page_ranges(db.tiers)[0][0]
+    db.device._poke(pid, before_delta)
+    return db.crash(), config, contents
+
+
+class TestBatchedVerifier:
+    def test_planted_faults_decide_as_the_per_extent_loop_did(self):
+        """Differential against the parent commit's synchronous loop:
+        the outcomes below are the values it produced on this store."""
+        device, config, contents = build_faulted_store()
+        recovered = BlobDB.recover(device, config)
+        info = recovered.recovery_info
+        assert info.failed_txns == [300]
+        assert info.quarantined == [("t", b"snap/042")]
+        assert info.repaired_keys == 1
+        assert info.extents_quarantined == 3
+        digest = hashlib.sha256()
+        for key, state in recovered._tables["t"].scan():
+            digest.update(key + state.sha256)
+        assert recovered.table_size("t") == 298
+        assert digest.hexdigest() == PARENT_TABLE_DIGEST
+        for key, data in contents.items():
+            if key.startswith(b"torn/"):
+                assert not recovered.exists("t", key)
+            elif key != b"snap/042":
+                assert recovered.read_blob("t", key) == data
+        # Every live state got a verdict, the failed transaction's
+        # second key included (it is read with the batch, then skipped).
+        assert info.blobs_validated == 300
+
+    def _store(self, sizes, **overrides):
+        db = BlobDB(small_config(**overrides))
+        db.create_table("t")
+        for i, size in enumerate(sizes):
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"k%04d" % i, bytes([i % 251]) * size)
+        db.drain_commit_window()
+        states = [state for _, state in db._tables["t"].scan()]
+        return db, states
+
+    def _verify(self, db, states, **kwargs):
+        return verify_states(db.device, db.model, db.tiers,
+                             db.config.page_size, states, db.retry, **kwargs)
+
+    def test_more_states_than_one_window(self, monkeypatch):
+        monkeypatch.setattr(recovery, "VERIFY_WINDOW_PAGES", 8)
+        db, states = self._store([4096 * 3] * 10)
+        db.device._poke(states[6].page_ranges(db.tiers)[1][0], b"rot")
+        batches = record_reads(db.device)
+        verdicts = self._verify(db, states)
+        assert verdicts == [i != 6 for i in range(10)]
+        # Two three-page states fit an eight-page window; a third does not.
+        assert len(batches) == 5
+        assert all(sum(n for _, n in b) <= 8 for b in batches)
+
+    def test_verdicts_follow_input_order_reads_follow_the_device(self):
+        db, states = self._store([4096] * 200)
+        db.device._poke(states[150].page_ranges(db.tiers)[0][0], b"rot")
+        shuffled = states[::-1][:100] + states[:100]
+        batches = record_reads(db.device)
+        verdicts = self._verify(db, shuffled)
+        assert verdicts == [state is not states[150] for state in shuffled]
+        assert sum(len(b) for b in batches) <= 200 // 64 + 1
+
+    def test_blob_larger_than_the_window_verifies_alone(self, monkeypatch):
+        monkeypatch.setattr(recovery, "VERIFY_WINDOW_PAGES", 8)
+        db, states = self._store([4096, 4096 * 40, 4096])
+        batches = record_reads(db.device)
+        assert self._verify(db, states) == [True, True, True]
+        assert [sum(n for _, n in b) for b in batches] == [1, 40, 1]
+
+    def test_zero_byte_blob_issues_no_read(self):
+        db, states = self._store([0])
+        assert states[0].size == 0
+        batches = record_reads(db.device)
+        before = db.device.stats.read_requests
+        assert self._verify(db, states) == [True]
+        assert batches == [] and db.device.stats.read_requests == before
+
+    def test_last_extent_is_read_only_as_far_as_the_digest_covers(self):
+        ps = 4096
+        db, states = self._store([15 * ps + 1])
+        ranges = states[0].page_ranges(db.tiers)
+        assert ranges[-1][1] == 16
+        batches = record_reads(db.device)
+        before = db.device.stats.bytes_read
+        assert self._verify(db, states) == [True]
+        assert db.device.stats.bytes_read - before == 16 * ps
+        last_pid = ranges[-1][0]
+        covered = {pid + i for b in batches for pid, n in b for i in range(n)}
+        assert last_pid in covered and last_pid + 1 not in covered
+
+    def test_overlay_patches_only_its_own_state(self):
+        db, states = self._store([4096 * 2, 4096 * 2])
+        pid = states[0].page_ranges(db.tiers)[0][0]
+        good = db.device.peek(pid, 1)
+        db.device._poke(pid, b"rot")
+        assert self._verify(db, states) == [False, True]
+        overlay = {pid: bytearray(good)}
+        assert self._verify(db, states,
+                            overlays=[overlay, None]) == [True, True]
+        assert self._verify(db, states,
+                            overlays=[None, overlay]) == [False, True]
+
+    def test_transient_fault_mid_batch_redrains_the_window(self):
+        db, states = self._store([4096 * 3] * 6)
+        inner = db.device.submit
+        attempts = []
+
+        def flaky(requests, **kwargs):
+            attempts.append(len(requests))
+            if len(attempts) == 1:
+                raise DeviceIOError("injected")
+            return inner(requests, **kwargs)
+
+        db.device.submit = flaky
+        assert self._verify(db, states) == [True] * 6
+        assert attempts[0] == attempts[1] and len(attempts) == 2
+        assert db.retry.stats.retries == 1
+
+    def test_recovery_survives_transient_read_errors(self, monkeypatch):
+        config = small_config()
+        model = CostModel()
+        inner = SimulatedNVMe(model, capacity_pages=config.device_pages)
+        db = BlobDB(config, device=inner, model=model)
+        db.create_table("t")
+        for i in range(64):
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"k%02d" % i, bytes([i]) * 9000)
+        db.drain_commit_window()
+        db.wal.sync_flush()
+        db.crash()
+        # Small windows, so the verifier drains (and draws) many times.
+        monkeypatch.setattr(recovery, "VERIFY_WINDOW_PAGES", 16)
+        plan = FaultPlan(FaultSpec(seed=5, transient_error=0.5))
+        recovered = BlobDB.recover(FaultyNVMe(inner, plan), config,
+                                   model=model)
+        assert recovered.failed_txns == []
+        assert recovered.recovery_info.blobs_validated == 64
+        assert plan.stats.transient_errors > 0
+        assert recovered.retry.stats.retries == plan.stats.transient_errors
+        for i in range(64):
+            assert recovered.read_blob("t", b"k%02d" % i) == bytes([i]) * 9000
+
+    def test_recovery_cost_is_bandwidth_shaped(self):
+        n = 2048
+        db = BlobDB(small_config())
+        db.create_table("t")
+        for i in range(n):
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"k%04d" % i, bytes([i % 251]) * 4000)
+        db.drain_commit_window()
+        db.wal.sync_flush()
+        config, model = db.config, db.model
+        device = db.crash()
+        batches = record_reads(device)
+        before = model.clock.now_ns
+        recovered = BlobDB.recover(device, config)
+        elapsed = model.clock.now_ns - before
+        info = recovered.recovery_info
+        assert info.blobs_validated == n
+        assert info.validation_read_requests <= n // 64 + 8
+        assert info.validation_bytes_read == n * config.page_size
+        assert elapsed < n * model.params.ssd_read_latency_ns / 10
+        assert max(sum(pages for _, pages in b) for b in batches) \
+            <= VERIFY_WINDOW_PAGES + 1
+        report = recovered.stats_report()
+        assert report.recovery_blobs_validated == n
+        assert f"{n} BLOBs validated, " \
+            f"{info.validation_read_requests / n:.2f} reads each" \
+            in report.format()
+
+    def test_report_guards_the_zero_denominator(self):
+        report = BlobDB(small_config()).stats_report()
+        assert report.recovery_reads_per_blob == 0.0
+        assert "0 BLOBs validated, 0.00 reads each" in report.format()
+
+
+PARENT_TABLE_DIGEST = \
+    "a71add1ea0b36193fb521372595029b419a95ca9efe8bff819b8387e012ba83e"
