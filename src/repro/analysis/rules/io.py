@@ -41,8 +41,10 @@ _NET_EXEC_MODULES = frozenset({
 #: protection-information updates.  ``_splice_bytes``/``peek_bytes``
 #: are the PMem equivalents of ``_poke``/``peek``: byte splices that
 #: skip the persist pricing (cache-line flush + fence) of
-#: ``write_bytes``.
-_RAW_DEVICE_ATTRS = frozenset({"_pages", "_page_crc"})
+#: ``write_bytes``.  ``_page_crc``/``_unwritten`` are the lazy protection
+#: state: the intended-content CRCs of poked pages and the pages poked
+#: before any legitimate write.
+_RAW_DEVICE_ATTRS = frozenset({"_pages", "_page_crc", "_unwritten"})
 _RAW_DEVICE_CALLS = frozenset({
     "_poke", "peek", "_scatter", "_gather", "_splice_bytes", "peek_bytes",
 })
@@ -148,11 +150,12 @@ class HostNetExecRule(Rule):
 class SubstrateBypassRule(Rule):
     """RPR006 — raw device-state access that bypasses the cost model.
 
-    ``SimulatedNVMe._pages`` / ``_page_crc`` / ``_poke()`` / ``peek()``
-    / ``_scatter()`` / ``_gather()`` move bytes without charging I/O
-    time or maintaining protection information.  Only the storage
-    substrate itself (``repro/storage/``, which implements faults and
-    remapping on top of them) and the I/O scheduler (``repro/io/``, the
+    ``SimulatedNVMe._pages`` / ``_page_crc`` / ``_unwritten`` /
+    ``_poke()`` / ``peek()`` / ``_scatter()`` / ``_gather()`` move
+    bytes without charging I/O time or maintaining protection
+    information.  Only the storage substrate itself
+    (``repro/storage/``, which implements faults and remapping on top
+    of them) and the I/O scheduler (``repro/io/``, the
     submission/completion-queue front end that prices whole batches)
     may use them; everything else goes through ``read``/``write``/
     ``submit`` or an :class:`~repro.io.IoScheduler`.

@@ -8,19 +8,30 @@ how the paper's single-commit "multiple asynchronous I/O requests"
 (Section III-C) gain their advantage over dependent, interleaved I/O.
 
 End-to-end data protection: like NVMe protection information (T10
-DIF/DIX), every page written through the normal I/O path records an
-out-of-band CRC32; verifying reads recompute it and raise
+DIF/DIX), every page written through the normal I/O path is protected
+by an out-of-band CRC32; verifying reads recompute it and raise
 :class:`~repro.db.errors.ChecksumMismatchError` instead of returning
 silently corrupt bytes.  The fault-injection layer
 (:mod:`repro.storage.faults`) corrupts stored pages *without* touching
 the recorded checksums — exactly the divergence real torn writes and
 bit rot produce relative to a device's protection metadata.
+
+The CRCs are taken lazily but exactly.  Stored bytes can diverge from
+what the engine wrote only through :meth:`SimulatedNVMe._poke`, so that
+hook records the CRC of a page's last legitimately written content just
+before it first diverges, and a legitimate write drops the record.
+Every other protected page matches its CRC by construction, so the host
+computes CRCs only for pages that carry a record.  Virtual time is
+unaffected: writes and verifications still charge
+:meth:`~repro.sim.cost.CostModel.crc32_bytes` for every byte.  All-zero
+pages share one per-device object.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Protocol, runtime_checkable
 
 from repro.sim.cost import CostModel
@@ -248,8 +259,13 @@ class SimulatedNVMe:
         #: Out-of-band per-page CRC32 protection information.
         self.protect = protect
         self.integrity = IntegrityStats()
+        #: CRC of the intended content of each page whose stored bytes
+        #: were poked since its last legitimate write.
         self._page_crc: dict[int, int] = {}
+        #: Pages poked before any legitimate write: stored, unprotected.
+        self._unwritten: set[int] = set()
         self._pages: dict[int, bytes] = {}
+        self._zero = bytes(page_size)
 
     @property
     def capabilities(self) -> DeviceCapabilities:
@@ -424,58 +440,87 @@ class SimulatedNVMe:
 
     def _scatter(self, pid: int, data: bytes) -> None:
         ps = self.page_size
-        for i in range(len(data) // ps):
-            page = bytes(data[i * ps:(i + 1) * ps])
-            self._pages[pid + i] = page
-            if self.protect:
-                self._page_crc[pid + i] = zlib.crc32(page)
-                self.integrity.pages_protected += 1
+        zero = self._zero
+        npages = len(data) // ps
+        if npages == 1:
+            self._pages[pid] = zero if data.startswith(zero) else bytes(data)
+        else:
+            view = memoryview(data)
+            self._pages.update(
+                (p, zero if data.startswith(zero, off)
+                 else bytes(view[off:off + ps]))
+                for p, off in zip(range(pid, pid + npages),
+                                  range(0, len(data), ps)))
+        self._note_written(pid, npages)
+
+    def _note_written(self, pid: int, npages: int) -> None:
+        """Pages ``[pid, pid + npages)`` now hold legitimately written bytes."""
+        if self.protect:
+            self.integrity.pages_protected += npages
+        if self._page_crc or self._unwritten:
+            for p in range(pid, pid + npages):
+                self._page_crc.pop(p, None)
+                self._unwritten.discard(p)
 
     def _poke(self, pid: int, data: bytes) -> None:
         """Overwrite raw page content *without* updating protection info.
 
         Fault-injection hook: this is how a torn write or a flipped bit
         diverges the stored bytes from their recorded checksums.  Never
-        used by the engine's own I/O paths.
+        used by the engine's own I/O paths.  The first poke of a
+        protected page records the CRC of its intended content.
         """
         ps = self.page_size
         for i in range((len(data) + ps - 1) // ps):
+            p = pid + i
+            old = self._pages.get(p)
+            if old is None:
+                self._unwritten.add(p)
+                old = self._zero
+            elif self.protect and p not in self._page_crc \
+                    and p not in self._unwritten:
+                self._page_crc[p] = zlib.crc32(old)
             chunk = bytes(data[i * ps:(i + 1) * ps])
-            if len(chunk) < ps:
-                old = self._pages.get(pid + i, b"\x00" * ps)
-                chunk = chunk + old[len(chunk):]
-            self._pages[pid + i] = chunk
+            self._pages[p] = chunk + old[len(chunk):]
 
     def _gather(self, pid: int, npages: int) -> bytes:
-        ps = self.page_size
-        blank = b"\x00" * ps
-        return b"".join(self._pages.get(pid + i, blank) for i in range(npages))
+        return b"".join(map(self._pages.get, range(pid, pid + npages),
+                            repeat(self._zero, npages)))
 
     # -- protection information -------------------------------------------------
 
     def check_page(self, pid: int) -> bool:
-        """True when the stored page matches its recorded CRC (or has none)."""
+        """True when the stored page matches its intended CRC (or has none)."""
         expected = self._page_crc.get(pid)
-        if expected is None:
-            return True
-        stored = self._pages.get(pid)
-        if stored is None:
-            stored = b"\x00" * self.page_size
-        return zlib.crc32(stored) == expected
+        return expected is None or zlib.crc32(self._pages[pid]) == expected
+
+    def _poked_in(self, pid: int, npages: int) -> list[int]:
+        """Ascending pids in range that carry an intended-content CRC."""
+        poked = self._page_crc
+        if npages <= len(poked):
+            return [p for p in range(pid, pid + npages) if p in poked]
+        return sorted(p for p in poked if pid <= p < pid + npages)
+
+    def _protected_in(self, pid: int, end: int) -> int:
+        """How many pages in ``[pid, end)`` were ever legitimately written."""
+        n = sum(map(self._pages.__contains__, range(pid, end)))
+        if self._unwritten:
+            n -= sum(1 for p in self._unwritten if pid <= p < end)
+        return n
 
     def _verify_pages(self, pid: int, npages: int) -> None:
         """Raise ``ChecksumMismatchError`` on the first failing page."""
         if not self.protect:
             return
         self.model.crc32_bytes(npages * self.page_size)
-        for p in range(pid, pid + npages):
-            if p in self._page_crc:
-                self.integrity.pages_verified += 1
+        for p in self._poked_in(pid, npages):
             if not self.check_page(p):
+                self.integrity.pages_verified += self._protected_in(pid, p + 1)
                 self.integrity.checksum_failures += 1
                 from repro.db.errors import ChecksumMismatchError
                 raise ChecksumMismatchError(
                     f"page {p} failed its protection CRC", pid=p)
+        self.integrity.pages_verified += self._protected_in(pid, pid + npages)
 
     def verify_range(self, pid: int, npages: int) -> list[int]:
         """Return the pids in range whose stored bytes fail their CRC.
@@ -488,7 +533,8 @@ class SimulatedNVMe:
         if not self.protect:
             return []
         self.model.crc32_bytes(npages * self.page_size)
-        bad = [p for p in range(pid, pid + npages) if not self.check_page(p)]
+        bad = [p for p in self._poked_in(pid, npages)
+               if not self.check_page(p)]
         self.integrity.pages_verified += npages
         self.integrity.checksum_failures += len(bad)
         return bad

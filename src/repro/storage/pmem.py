@@ -24,8 +24,6 @@ and a byte append never re-reads the rest of the page.
 
 from __future__ import annotations
 
-import zlib
-
 from repro.storage.device import (
     DeviceCapabilities,
     DeviceFull,
@@ -121,24 +119,21 @@ class SimulatedPMem(SimulatedNVMe):
     # -- raw byte store (substrate-internal; see RPR006) ----------------------
 
     def _splice_bytes(self, offset: int, data: bytes) -> None:
-        """Splice raw bytes into the page store, refreshing page CRCs.
+        """Splice raw bytes into the page store as a legitimate write.
 
         Substrate-internal: callers outside the storage layer must go
         through :meth:`write_bytes` so cost and accounting stay honest.
-        The fault layer also pokes here to model torn appends.
+        Fault damage goes through ``_poke`` instead.
         """
         ps = self.page_size
         pos = 0
         while pos < len(data):
             pid, byte_off = divmod(offset + pos, ps)
             take = min(ps - byte_off, len(data) - pos)
-            page = bytearray(self._pages.get(pid, b"\x00" * ps))
+            page = bytearray(self._pages.get(pid, self._zero))
             page[byte_off:byte_off + take] = data[pos:pos + take]
-            stored = bytes(page)
-            self._pages[pid] = stored
-            if self.protect:
-                self._page_crc[pid] = zlib.crc32(stored)
-                self.integrity.pages_protected += 1
+            self._pages[pid] = bytes(page)
+            self._note_written(pid, 1)
             pos += take
 
     def peek_bytes(self, offset: int, nbytes: int) -> bytes:

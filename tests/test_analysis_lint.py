@@ -182,6 +182,23 @@ class TestSubstrateBypassRule:
         source = "raw = self.device.peek(pid, 1)\n"
         assert lint_source("src/repro/storage/faults.py", source) == []
 
+    def test_flags_lazy_protection_state(self):
+        # The intended-content CRCs and the poked-before-written set
+        # decide every verdict; editing them outside the substrate
+        # would falsify checks.
+        findings = run("""
+            crc = self.device._page_crc
+            self.device._unwritten.discard(pid)
+            physical._unwritten.clear()
+        """)
+        assert [f.rule for f in findings] == ["RPR006"] * 3
+
+    def test_lazy_protection_state_exempt_or_unrelated(self):
+        source = "self.inner._unwritten.discard(pid)\n"
+        assert lint_source("src/repro/storage/remap.py", source) == []
+        # A non-device receiver's ``_unwritten`` is not device state.
+        assert run("todo = self.journal._unwritten\n") == []
+
     def test_flags_raw_scatter_gather_outside_io_layer(self):
         findings = run("""
             data = self.device._gather(pid, npages)

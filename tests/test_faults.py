@@ -2,6 +2,9 @@
 FaultPlan schedules, FaultyNVMe damage semantics, per-page protection
 CRCs, RetryPolicy backoff, WAL scan hardening, quarantine, and scrub."""
 
+import random
+import zlib
+
 import pytest
 
 from repro.db import BlobDB, EngineConfig
@@ -18,6 +21,7 @@ from repro.storage.faults import (
     FaultyNVMe,
     RetryPolicy,
 )
+from repro.storage.remap import RemappedDevice
 from repro.wal.records import (
     TxnBeginRecord,
     TxnCommitRecord,
@@ -80,6 +84,202 @@ class TestProtectionInfo:
         dev._poke(1, b"\x02" * 4096)
         assert dev.read(1, 1) == b"\x02" * 4096
         assert dev.verify_range(1, 1) == []
+
+
+class EagerProtection:
+    """Oracle: the eager page store the lazy protection CRCs replaced.
+
+    Every legitimate write CRCs every page it stores and every check
+    recomputes the stored page's CRC.  Mixed in ahead of a device
+    class, it overrides exactly the protection paths, so the lazy
+    device and its eager twin can run one seeded stream side by side.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._eager_crc = {}
+
+    def _scatter(self, pid, data):
+        ps = self.page_size
+        for i in range(len(data) // ps):
+            page = bytes(data[i * ps:(i + 1) * ps])
+            self._pages[pid + i] = page
+            if self.protect:
+                self._eager_crc[pid + i] = zlib.crc32(page)
+                self.integrity.pages_protected += 1
+
+    def _splice_bytes(self, offset, data):
+        ps = self.page_size
+        pos = 0
+        while pos < len(data):
+            pid, byte_off = divmod(offset + pos, ps)
+            take = min(ps - byte_off, len(data) - pos)
+            page = bytearray(self._pages.get(pid, b"\x00" * ps))
+            page[byte_off:byte_off + take] = data[pos:pos + take]
+            self._pages[pid] = bytes(page)
+            if self.protect:
+                self._eager_crc[pid] = zlib.crc32(self._pages[pid])
+                self.integrity.pages_protected += 1
+            pos += take
+
+    def _poke(self, pid, data):
+        ps = self.page_size
+        for i in range((len(data) + ps - 1) // ps):
+            chunk = bytes(data[i * ps:(i + 1) * ps])
+            if len(chunk) < ps:
+                old = self._pages.get(pid + i, b"\x00" * ps)
+                chunk = chunk + old[len(chunk):]
+            self._pages[pid + i] = chunk
+
+    def check_page(self, pid):
+        expected = self._eager_crc.get(pid)
+        if expected is None:
+            return True
+        stored = self._pages.get(pid, b"\x00" * self.page_size)
+        return zlib.crc32(stored) == expected
+
+    def _verify_pages(self, pid, npages):
+        if not self.protect:
+            return
+        self.model.crc32_bytes(npages * self.page_size)
+        for p in range(pid, pid + npages):
+            if p in self._eager_crc:
+                self.integrity.pages_verified += 1
+            if not self.check_page(p):
+                self.integrity.checksum_failures += 1
+                raise ChecksumMismatchError(
+                    f"page {p} failed its protection CRC", pid=p)
+
+    def verify_range(self, pid, npages):
+        self._check_range(pid, npages)
+        if not self.protect:
+            return []
+        self.model.crc32_bytes(npages * self.page_size)
+        bad = [p for p in range(pid, pid + npages) if not self.check_page(p)]
+        self.integrity.pages_verified += npages
+        self.integrity.checksum_failures += len(bad)
+        return bad
+
+
+class EagerNVMe(EagerProtection, SimulatedNVMe):
+    pass
+
+
+FAULTY_SPEC = dict(torn_write=0.15, bit_flip=0.15, latency_spike=0.05)
+
+
+def protection_transcript(dev, model, seed, ops=250, span=40,
+                          byte_appends=False):
+    """Drive a seeded write/fault/verify stream; return what it observed.
+
+    ``dev`` is the bare device; the stream writes through a
+    ``FaultyNVMe`` over it (torn writes, bit flips), pokes it directly
+    (double pokes, identical-byte pokes, pokes of never-written pages,
+    pokes later healed by a legitimate rewrite) and records every
+    ``check_page``, ``verify_range`` and verifying-read verdict, the
+    integrity counters and the virtual clock after each step.
+    """
+    rng = random.Random(seed)
+    faulty = FaultyNVMe(dev, FaultPlan(FaultSpec(seed=seed, **FAULTY_SPEC)))
+    ps = dev.page_size
+    out = []
+    for _ in range(ops):
+        op = rng.choice(("write", "write", "zero", "same", "poke", "poke2",
+                         "poke_same", "heal", "read", "verify", "check")
+                        + (("append",) * 2 if byte_appends else ()))
+        pid = rng.randrange(span)
+        n = rng.randint(1, 4)
+        if op == "write":
+            faulty.write(pid, rng.randbytes(n * ps))
+        elif op == "zero":
+            faulty.write(pid, bytes(n * ps))
+        elif op == "same":
+            faulty.write(pid, dev.peek(pid, n))
+        elif op == "poke":
+            dev._poke(pid, rng.randbytes(rng.randint(1, ps + ps // 2)))
+        elif op == "poke2":
+            dev._poke(pid, rng.randbytes(16))
+            dev._poke(pid, rng.randbytes(16))
+        elif op == "poke_same":
+            dev._poke(pid, dev.peek(pid, 1))
+        elif op == "heal":
+            dev.write(pid, rng.randbytes(ps))
+        elif op == "append":
+            faulty.write_bytes(pid * ps + rng.randrange(ps),
+                               rng.randbytes(rng.randint(1, 2 * ps)))
+        elif op == "read":
+            try:
+                out.append(("read", zlib.crc32(faulty.read(pid, n))))
+            except ChecksumMismatchError as err:
+                out.append(("read_bad", err.pid))
+        elif op == "verify":
+            out.append(("verify", dev.verify_range(pid, n)))
+        else:
+            out.append(("check", [dev.check_page(p) for p in range(span)]))
+        integrity = dev.integrity
+        out.append((op, integrity.pages_protected, integrity.pages_verified,
+                    integrity.checksum_failures, model.clock.now_ns))
+    out.append(("final", dev.verify_range(0, span),
+                zlib.crc32(dev.peek(0, span + 8))))
+    return out
+
+
+class TestLazyProtectionIsExact:
+    """The lazy CRCs give the eager oracle's verdicts and counters."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("protect", [True, False])
+    def test_nvme_matches_eager_oracle(self, seed, protect):
+        lazy_model, eager_model = CostModel(), CostModel()
+        lazy = SimulatedNVMe(lazy_model, capacity_pages=64, protect=protect)
+        eager = EagerNVMe(eager_model, capacity_pages=64, protect=protect)
+        expected = protection_transcript(eager, eager_model, seed)
+        assert protection_transcript(lazy, lazy_model, seed) == expected
+        if protect:
+            assert any(step[0] == "read_bad" for step in expected)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_remapper_matches_eager_oracle(self, seed):
+        def remapper(physical_cls):
+            model = CostModel()
+            dev = RemappedDevice(model, physical_pages=256,
+                                 logical_pages=64)
+            dev.physical = physical_cls(model, capacity_pages=256)
+            return dev, model
+
+        lazy, lazy_model = remapper(SimulatedNVMe)
+        eager, eager_model = remapper(EagerNVMe)
+        assert protection_transcript(lazy, lazy_model, seed, span=24) == \
+            protection_transcript(eager, eager_model, seed, span=24)
+
+    def test_legitimate_write_computes_no_host_crc(self, monkeypatch):
+        calls = []
+        real_crc32 = zlib.crc32
+        monkeypatch.setattr(zlib, "crc32",
+                            lambda *a: calls.append(1) or real_crc32(*a))
+        lazy, lazy_model = make_device(pages=512)
+        eager_model = CostModel()
+        eager = EagerNVMe(eager_model, capacity_pages=512)
+        payload = bytes(range(256)) * 16 * 256
+        lazy.write(0, payload)
+        assert lazy.read(0, 256) == payload
+        assert calls == []
+        eager.write(0, payload)
+        eager.read(0, 256)
+        assert len(calls) == 2 * 256  # the oracle CRCs each page twice
+        assert lazy_model.clock.now_ns == eager_model.clock.now_ns > 0
+        assert lazy.integrity == eager.integrity
+
+    def test_zero_pages_share_one_object(self):
+        dev, _ = make_device(pages=2048)
+        ps = dev.page_size
+        dev.write(0, bytes(500 * ps))
+        for pid in range(500, 1000):
+            dev.write(pid, bytes(ps))
+        assert dev.resident_pages() == 1000
+        assert len({id(page) for page in dev._pages.values()}) == 1
+        assert dev.peek(0, 1000) == bytes(1000 * ps)
+        assert dev.read(0, 1000) == bytes(1000 * ps)
 
 
 class TestFaultPlan:

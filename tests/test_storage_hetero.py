@@ -25,6 +25,11 @@ from repro.storage import (
     make_device,
 )
 from repro.storage.faults import FaultPlan, FaultPlanFactory, FaultSpec, FaultyNVMe
+from tests.test_faults import EagerNVMe, EagerProtection, protection_transcript
+
+
+class EagerPMem(EagerProtection, SimulatedPMem):
+    pass
 
 
 def small_config(**overrides):
@@ -215,6 +220,17 @@ class TestFaultedByteAppends:
         # refresh, so the damage is detectable — never silent.
         assert pmem.verify_range(0, 1) == [0]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lazy_protection_matches_eager_oracle(self, seed):
+        lazy_model, eager_model = CostModel(), CostModel()
+        lazy = SimulatedPMem(lazy_model, capacity_pages=64)
+        eager = EagerPMem(eager_model, capacity_pages=64)
+        expected = protection_transcript(eager, eager_model, seed,
+                                         byte_appends=True)
+        assert protection_transcript(lazy, lazy_model, seed,
+                                     byte_appends=True) == expected
+        assert any(step[0] == "read_bad" for step in expected)
+
     def test_block_inner_raises_before_consuming_draws(self):
         plan = FaultPlan(seed=5, torn_write=1.0, bit_flip=1.0)
         dev = FaultyNVMe(SimulatedNVMe(CostModel(), capacity_pages=16), plan)
@@ -320,6 +336,22 @@ class TestStriping:
         assert all((pid // 8) % 4 == 1 for pid in bad)
         assert dev.fault_stats.bit_flips == len(
             {pid // 8 for pid in bad}) or dev.fault_stats.bit_flips > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lazy_protection_matches_eager_oracle(self, seed):
+        def striped(member_cls):
+            model = CostModel()
+            dev = StripedDevice(model, capacity_pages=64, n_devices=2,
+                                stripe_pages=4)
+            dev.members = [member_cls(m.model, capacity_pages=m.capacity_pages)
+                           for m in dev.members]
+            return dev, model
+
+        lazy, lazy_model = striped(SimulatedNVMe)
+        eager, eager_model = striped(EagerNVMe)
+        expected = protection_transcript(eager, eager_model, seed)
+        assert protection_transcript(lazy, lazy_model, seed) == expected
+        assert any(step[0] == "read_bad" for step in expected)
 
     def test_striped_engine_end_to_end(self):
         config = small_config(stripe_devices=4, stripe_chunk_pages=16)
