@@ -14,9 +14,6 @@ Commands:
 * ``trace``    — run a pinned-seed workload with the tracer attached
   and emit a Chrome ``trace_event`` JSON (open in about:tracing or
   Perfetto); byte-identical across runs of the same seed;
-* ``bench``    — run the deterministic benchmark baseline suite,
-  write ``BENCH_<label>.json``, and optionally gate against a
-  committed baseline (fails on >10 % regression);
 * ``lint``     — AST determinism/invariant lint (``RPRxxx`` rules) over
   the source tree; exits 1 on findings, ``--json`` for a CI report;
 * ``sanitize`` — run a pinned-seed workload with the runtime
@@ -86,7 +83,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     from repro.bench.harness import print_table
 
     payload = 256 * 1024
-    rows = []
+    copies_per_byte = {}
     for name in ("our", "ext4.ordered", "ext4.journal", "postgresql",
                  "sqlite", "mysql"):
         store = make_store(name, capacity_bytes=1 << 30)
@@ -99,17 +96,19 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         elif hasattr(store, "store"):
             store.store.flush()
         delta = store.device.stats.delta_since(before)
-        copies = sum(delta.bytes_written_by_category.get(c, 0)
-                     for c in ("data", "wal", "journal", "dwb",
-                               "index")) / payload
-        rows.append([name, f"{copies:.2f}x"])
+        copies_per_byte[name] = sum(
+            delta.bytes_written_by_category.get(c, 0)
+            for c in ("data", "wal", "journal", "dwb", "index")) / payload
     if args.json:
         _emit_json({"payload_bytes": payload,
-                    "copies_per_byte": {name: float(c[:-1])
-                                        for name, c in rows}})
+                    "copies_per_byte": {name: round(copies, 4)
+                                        for name, copies
+                                        in copies_per_byte.items()}})
         return 0
     print_table("Design survey: content copies per BLOB byte (measured)",
-                ["system", "copies/byte"], rows)
+                ["system", "copies/byte"],
+                [[name, f"{copies:.2f}x"]
+                 for name, copies in copies_per_byte.items()])
     return 0
 
 
@@ -219,320 +218,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_iodepth(args: argparse.Namespace) -> int:
-    """Queue-depth sweep: print the table, then self-check that the
-    sweep is deterministic (two runs, byte-identical) and that
-    throughput rises monotonically with diminishing returns."""
-    from repro.bench import baseline
-
-    first = baseline.run_iodepth_sweep()
-    second = baseline.run_iodepth_sweep()
-    rows = first["sweep"]
-    print("iodepth sweep (pinned seed, simulated time)")
-    print(f"  {'qd':>4} {'ops':>6} {'op/s':>14} {'p99 us':>10} "
-          f"{'WA':>6} {'coalesce':>9}")
-    for wl in rows:
-        print(f"  {wl['queue_depth']:>4} {wl['ops']:>6} "
-              f"{wl['throughput_ops_s']:>14.1f} "
-              f"{wl['latency_us']['p99']:>10.1f} "
-              f"{wl['write_amplification']:>6.2f} "
-              f"{wl['io']['coalesce_ratio']:>9.4f}")
-    failures = []
-    if baseline.render(first) != baseline.render(second):
-        failures.append("sweep not deterministic: two runs differ")
-    tp = [wl["throughput_ops_s"] for wl in rows]
-    for a, b in zip(tp, tp[1:]):
-        if b < a:
-            failures.append(
-                f"throughput not monotone in queue depth: {a} -> {b}")
-    if len(tp) >= 3 and (tp[-1] - tp[-2]) > (tp[-2] - tp[-3]):
-        failures.append(
-            "no diminishing returns at the deepest queue: gain "
-            f"{tp[-2] - tp[-3]:.1f} then {tp[-1] - tp[-2]:.1f}")
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("iodepth sweep OK: deterministic, monotone, diminishing returns")
-    return 0
-
-
-def _write_shard_traces(trace_dir: str) -> int:
-    """Per-shard Chrome traces of a short 4-shard scatter-gather run.
-
-    Every shard runs on its own virtual clock, so each shard gets its
-    own trace file (plus one for the router); open them side by side in
-    Perfetto to see the sub-batches whose maximum is the makespan.
-    """
-    import os
-    import random
-
-    from repro import obs
-    from repro.db.config import EngineConfig
-    from repro.shard import ShardedBlobDB
-
-    config = EngineConfig(device_pages=16384, wal_pages=512,
-                          catalog_pages=128, buffer_pool_pages=4096)
-    sdb = ShardedBlobDB(n_shards=4, config=config)
-    tracers = {"router": obs.attach(sdb.model)}
-    for i, shard in enumerate(sdb.shards):
-        tracers[f"shard{i}"] = obs.attach(shard.model)
-    rng = random.Random(5)
-    keys = [b"user%010d" % i for i in range(64)]
-    for lo in range(0, len(keys), 16):
-        sdb.multiput([(key, rng.randbytes(4096))
-                      for key in keys[lo:lo + 16]])
-    for _ in range(8):
-        sdb.multiget([keys[rng.randrange(len(keys))] for _ in range(32)])
-    sdb.drain_commit_window()
-    os.makedirs(trace_dir, exist_ok=True)  # repro: allow[RPR004] host trace artifact dir
-    written = 0
-    for name, tracer in sorted(tracers.items()):
-        path = os.path.join(trace_dir, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:  # repro: allow[RPR004] host trace artifact
-            fh.write(obs.to_chrome_trace(tracer, label=f"shards-{name}"))
-            fh.write("\n")
-        written += 1
-    print(f"wrote {written} trace(s) to {trace_dir}/", file=sys.stderr)
-    return written
-
-
-def _cmd_bench_shards(args: argparse.Namespace) -> int:
-    """Shard sweep: print the table, then self-check determinism (two
-    runs byte-identical), monotone uniform-key speedup with >=3x at the
-    widest point, and measurable degradation under Zipf skew."""
-    from repro.bench import baseline
-
-    first = baseline.run_shard_sweep()
-    second = baseline.run_shard_sweep()
-    rows = first["sweep"]
-    print("shard sweep (scatter-gather makespan, pinned seed)")
-    print(f"  {'shards':>6} {'zipf':>5} {'ops':>6} {'op/s':>14} "
-          f"{'p99 us':>10} {'WA':>6} {'imbalance':>10}")
-    for wl in rows:
-        print(f"  {wl['n_shards']:>6} {wl['zipf_theta']:>5.2f} "
-              f"{wl['ops']:>6} {wl['throughput_ops_s']:>14.1f} "
-              f"{wl['latency_us']['p99']:>10.1f} "
-              f"{wl['write_amplification']:>6.2f} "
-              f"{wl['shard']['imbalance']:>10.4f}")
-    failures = baseline.shard_sweep_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if args.traces:
-        _write_shard_traces(args.traces)
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("shard sweep OK: deterministic, monotone speedup, "
-          "skew degrades as modelled")
-    return 0
-
-
-def _cmd_bench_replication(args: argparse.Namespace) -> int:
-    """Replication sweep: quorum commit-latency points plus the
-    availability-under-storm digest.  Self-checks determinism (two
-    runs byte-identical, digest included), strictly increasing commit
-    latency in quorum size, zero lost acknowledged writes, no torn
-    records, and bounded failover makespans."""
-    from repro.bench import baseline
-
-    first = baseline.run_replication_sweep()
-    second = baseline.run_replication_sweep()
-    print("replication sweep (3-member groups, pinned seed)")
-    print(f"  {'quorum':>6} {'ops':>6} {'op/s':>14} {'mean us':>9} "
-          f"{'p99 us':>10} {'shipped':>8} {'retries':>8}")
-    for wl in first["sweep"]:
-        rep = wl["replication"]
-        print(f"  {wl['quorum']:>6} {wl['ops']:>6} "
-              f"{wl['throughput_ops_s']:>14.1f} "
-              f"{wl['latency_us']['mean']:>9.2f} "
-              f"{wl['latency_us']['p99']:>10.2f} "
-              f"{rep['records_shipped']:>8} {rep['ship_retries']:>8}")
-    storm = first["storm"]
-    print(f"availability storm: {storm['schedules']} kill schedules, "
-          f"{storm['failovers']} failovers / {storm['rejoins']} rejoins, "
-          f"{storm['acked_writes']} acked writes "
-          f"({storm['lost_acked_writes']} lost, "
-          f"{storm['torn_records']} torn), "
-          f"{storm['truncated_records']} divergent records truncated, "
-          f"max failover {storm['max_failover_us']} us")
-    print(f"storm digest: {storm['digest']}")
-    failures = baseline.replication_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("replication sweep OK: deterministic, quorum latency strictly "
-          "ordered, zero lost acked writes, failover bounded")
-    return 0
-
-
-def _cmd_bench_traffic(args: argparse.Namespace) -> int:
-    """Open-loop traffic sweep: closed-loop capacity calibration,
-    offered-load points across the saturation knee, and token-bucket
-    admission under overload.  Self-checks determinism (two runs
-    byte-identical), the knee (throughput saturates while p999 grows),
-    and admission (bounded p999, exact shed accounting)."""
-    from repro.bench import baseline
-
-    first = baseline.run_traffic_sweep()
-    second = baseline.run_traffic_sweep()
-    print("traffic sweep (open-loop arrivals, pinned seed)")
-    print(f"  closed-loop capacity: {first['capacity_ops_s']:.1f} op/s")
-    print(f"  {'offered':>8} {'policy':>7} {'done':>5} {'shed':>5} "
-          f"{'op/s':>12} {'p99 us':>9} {'p999 us':>9} {'depth':>6}")
-    for wl in first["sweep"]:
-        adm = wl["admission"]
-        policy = adm["policy"] if adm else "-"
-        print(f"  {wl['offered_mult']:>7.2f}x {policy:>7} "
-              f"{wl['completed']:>5} {wl['shed']:>5} "
-              f"{wl['throughput_ops_s']:>12.1f} "
-              f"{wl['latency_us']['p99']:>9.1f} "
-              f"{wl['latency_us']['p999']:>9.1f} "
-              f"{wl['max_dispatch_depth']:>6}")
-    failures = baseline.traffic_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("traffic sweep OK: deterministic, knee saturates with a "
-          "growing tail, admission bounds p999 with exact shed counts")
-    return 0
-
-
-def _cmd_bench_pmem(args: argparse.Namespace) -> int:
-    """Heterogeneous-storage sweep: durable-ack commit latency with the
-    WAL on PMem vs NVMe across group-commit windows, plus the stripe
-    width throughput sweep.  Self-checks determinism (two runs
-    byte-identical), WAL-on-PMem strictly below NVMe at every window,
-    and monotone >=2x stripe speedup at the widest point."""
-    from repro.bench import baseline
-
-    first = baseline.run_pmem_sweep()
-    second = baseline.run_pmem_sweep()
-    print("pmem sweep (durable-ack commit latency, pinned seed)")
-    print(f"  {'window us':>9} {'wal on':>6} {'ops':>5} {'mean us':>8} "
-          f"{'p99 us':>8} {'appends':>8} {'WA':>7}")
-    for wl in first["commit"]:
-        print(f"  {wl['window_us']:>9.1f} {wl['wal_on']:>6} "
-              f"{wl['ops']:>5} {wl['latency_us']['mean']:>8.3f} "
-              f"{wl['latency_us']['p99']:>8.3f} "
-              f"{wl['wal']['byte_appends']:>8} "
-              f"{wl['write_amplification']:>7.4f}")
-    print("stripe sweep (scatter reads + write-back over K members)")
-    print(f"  {'devices':>7} {'ops':>6} {'op/s':>12} {'p99 us':>9} "
-          f"{'coalesce':>9}")
-    for wl in first["stripe"]:
-        print(f"  {wl['n_devices']:>7} {wl['ops']:>6} "
-              f"{wl['throughput_ops_s']:>12.1f} "
-              f"{wl['latency_us']['p99']:>9.1f} "
-              f"{wl['io']['coalesce_ratio']:>9.4f}")
-    failures = baseline.pmem_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("pmem sweep OK: deterministic, WAL-on-PMem strictly faster at "
-          "every window, stripe speedup monotone and >=2x at 4 devices")
-    return 0
-
-
-def _cmd_bench_index(args: argparse.Namespace) -> int:
-    """Adaptive-indexing sweep: the relation-index crossover (learned
-    tier vs ART vs B-Tree on uniform read-mostly and Zipf write-heavy
-    mixes) plus the interval-numbered recursive-scan comparison.
-    Self-checks determinism (two runs byte-identical), the crossover in
-    both directions, and >=3x interval-scan speedup with identical
-    listings."""
-    from repro.bench import baseline
-
-    first = baseline.run_index_sweep()
-    second = baseline.run_index_sweep()
-    print("index crossover sweep (bare relation index, pinned seed)")
-    print(f"  {'engine':>7} {'theta':>5} {'writes':>6} {'ops':>5} "
-          f"{'op/s':>10} {'mean us':>8} {'p99 us':>8} {'retrains':>8}")
-    for wl in first["engines"]:
-        learned = wl.get("learned", {})
-        print(f"  {wl['engine']:>7} {wl['zipf_theta']:>5.2f} "
-              f"{wl['write_ratio']:>6.0%} {wl['ops']:>5} "
-              f"{wl['throughput_ops_s']:>10.1f} "
-              f"{wl['latency_us']['mean']:>8.3f} "
-              f"{wl['latency_us']['p99']:>8.3f} "
-              f"{learned.get('retrains', 0):>8}")
-    print("recursive-scan comparison (per-level walk vs interval scan)")
-    print(f"  {'workload':>9} {'entries':>7} {'plain us':>9} "
-          f"{'accel us':>9} {'speedup':>8} {'match':>5}")
-    for wl in first["ns_scan"]:
-        print(f"  {wl['workload']:>9} {wl['entries']:>7} "
-              f"{wl['plain_us']:>9.1f} {wl['accelerated_us']:>9.1f} "
-              f"{wl['speedup']:>8.2f} {str(wl['listings_match']):>5}")
-    failures = baseline.index_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("index sweep OK: deterministic, learned/ART crossover in both "
-          "directions, interval scans >=3x with identical listings")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import baseline
-
-    if args.mode == "iodepth":
-        return _cmd_bench_iodepth(args)
-    if args.mode == "shards":
-        return _cmd_bench_shards(args)
-    if args.mode == "replication":
-        return _cmd_bench_replication(args)
-    if args.mode == "traffic":
-        return _cmd_bench_traffic(args)
-    if args.mode == "pmem":
-        return _cmd_bench_pmem(args)
-    if args.mode == "index":
-        return _cmd_bench_index(args)
-    doc = baseline.run_suite(args.label)
-    # Provenance stamp attached *outside* the deterministic suite; the
-    # regression gate ignores unknown top-level keys.
-    doc["host"] = baseline.host_stamp()
-    out = args.out or f"BENCH_{args.label}.json"
-    baseline.write_baseline(out, doc)
-    print(baseline.format_report(doc))
-    print(f"wrote {out}")
-    if args.compare:
-        base = baseline.load_baseline(args.compare)
-        regressions, notes = baseline.compare(base, doc,
-                                              tolerance=args.tolerance)
-        for note in notes:
-            print(f"note: {note}")
-        if regressions:
-            for line in regressions:
-                print(line, file=sys.stderr)
-            print(f"FAILED: {len(regressions)} perf regression(s) vs "
-                  f"{args.compare}", file=sys.stderr)
-            return 1
-        print(f"regression gate OK vs {args.compare} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import lint as linter
 
@@ -622,7 +307,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Single-flush BLOB storage engine (paper reproduction)")
@@ -669,36 +354,6 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--max-events", type=int, default=500_000)
     trace.set_defaults(func=_cmd_trace)
 
-    bench = sub.add_parser(
-        "bench", help="deterministic benchmark baseline + regression gate")
-    bench.add_argument("mode", nargs="?",
-                       choices=("suite", "iodepth", "shards",
-                                "replication", "traffic", "pmem",
-                                "index"),
-                       default="suite",
-                       help="'suite' (default), 'iodepth' for the "
-                            "queue-depth sweep, 'shards' for the "
-                            "sharded scatter-gather sweep, "
-                            "'replication' for the quorum sweep plus "
-                            "the availability storm, 'traffic' for "
-                            "the open-loop saturation/admission sweep, "
-                            "'pmem' for the heterogeneous-storage "
-                            "WAL-placement and stripe-width sweep, "
-                            "or 'index' for the adaptive-indexing "
-                            "crossover and interval-scan sweep "
-                            "— every sweep runs built-in self-checks")
-    bench.add_argument("--traces", metavar="DIR",
-                       help="with mode 'shards': also write per-shard "
-                            "Chrome traces of a 4-shard run to DIR")
-    bench.add_argument("--label", default="local")
-    bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<label>.json)")
-    bench.add_argument("--compare", metavar="BASELINE",
-                       help="gate against this BENCH_*.json; exit 1 on "
-                            ">tolerance regression")
-    bench.add_argument("--tolerance", type=float, default=0.10)
-    bench.set_defaults(func=_cmd_bench)
-
     lint = sub.add_parser(
         "lint", help="AST determinism/invariant lint over the source tree")
     lint.add_argument("paths", nargs="*",
@@ -737,8 +392,11 @@ def main(argv: list[str] | None = None) -> int:
 
     info = sub.add_parser("info", help="version and configuration")
     info.set_defaults(func=_cmd_info)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

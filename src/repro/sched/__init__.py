@@ -14,8 +14,8 @@ model:
 * :mod:`repro.sched.traffic` — :class:`TrafficSim`, wiring real engine
   ops through the loop, with p999-tracked latency histograms.
 
-See ``docs/scheduling.md`` for the model and ``repro bench traffic``
-for the gated sweep.
+See ``docs/scheduling.md`` for the model and
+``tests/test_sched_traffic.py`` for the knee and admission claims.
 """
 
 from repro.sched.admission import (

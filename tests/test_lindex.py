@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro import obs
+from repro.art import ArtTree
 from repro.btree import BTree
 from repro.db import BlobDB, EngineConfig
 from repro.db.config import INDEX_ENGINES
 from repro.lindex import LearnedIndex
 from repro.sim.cost import CostModel
+from repro.workloads.ycsb import zipf_sampler
 
 
 def small_config(**overrides):
@@ -146,6 +148,59 @@ class TestLearnedIndexStructure:
         assert counters["index.probes"].total() == 100
         assert counters["index.segment_retrains"].total() == \
             learned.retrains > 0
+
+
+def version_mix_ns(engine, zipf_theta, write_ratio, n_slots=2048,
+                   n_ops=2400):
+    """Virtual time of a lookup-latest / insert-next-version mix on a
+    bare relation index (no WAL, no pool): only probe and maintenance
+    cost differ between engines.  Returns ``(elapsed_ns, index)``.
+
+    Uniform slots spread inserts thinly, so the learned tier's deltas
+    absorb them; Zipf slots pile them onto a few hot segments and force
+    retrain churn.
+    """
+    model = CostModel()
+    if engine == "art":
+        tree = ArtTree(model=model)
+    else:
+        defaults = EngineConfig()
+        tree = LearnedIndex(model=model, epsilon=defaults.lindex_epsilon,
+                            delta_max=defaults.lindex_delta_max)
+    versions = [0] * n_slots
+    for slot in range(n_slots):
+        tree.insert(b"obj/%012d" % (slot * 1000), b"v0")
+    rng = random.Random(11)
+    if zipf_theta > 0:
+        sample = zipf_sampler(n_slots, zipf_theta, rng)
+    else:
+        def sample():
+            return rng.randrange(n_slots)
+    start = model.clock.now_ns
+    for _ in range(n_ops):
+        slot = sample()
+        if rng.random() < write_ratio:
+            versions[slot] += 1
+            tree.insert(b"obj/%012d" % (slot * 1000 + versions[slot]), b"v")
+        else:
+            assert tree.lookup(
+                b"obj/%012d" % (slot * 1000 + versions[slot])) is not None
+    return model.clock.now_ns - start, tree
+
+
+class TestLearnedArtCrossover:
+    def test_learned_wins_uniform_read_mostly(self):
+        learned, _ = version_mix_ns("learned", 0.0, write_ratio=0.1)
+        art, _ = version_mix_ns("art", 0.0, write_ratio=0.1)
+        # O(log segments) probes beat ART's per-byte node walk.
+        assert art >= 1.1 * learned
+
+    def test_art_wins_zipf_write_heavy(self):
+        learned, tree = version_mix_ns("learned", 0.99, write_ratio=0.8)
+        art, _ = version_mix_ns("art", 0.99, write_ratio=0.8)
+        assert tree.stats().retrain_count > 0
+        # Hot-segment retrains cost more than ART's in-place inserts.
+        assert learned >= 1.1 * art
 
 
 class TestEngineRegistry:

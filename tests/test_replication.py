@@ -4,12 +4,14 @@ epoch-fenced failover, divergent-tail truncation on rejoin, the
 zero-lost-acknowledged-writes torture schedule, and the replicated
 router/network front ends."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.db import EngineConfig
 from repro.db.errors import (
+    DatabaseError,
     KeyNotFoundError,
     QuorumLostError,
     StaleEpochError,
@@ -482,16 +484,88 @@ class TestReplicatedBlobServer:
             ReplicatedBlobServer(rdb, [TCP_ETHERNET])
 
 
-class TestBenchReplication:
-    def test_storm_reproducible_and_lossless(self):
-        from repro.bench.baseline import run_replication_storm
+def storm_schedule(seed):
+    """One seeded primary kill on a faulty-linked 3-member quorum-2 group.
 
-        a = run_replication_storm(n_schedules=6, base_seed=400)
-        b = run_replication_storm(n_schedules=6, base_seed=400)
-        assert a == b  # same seed -> byte-identical document
-        assert a["lost_acked_writes"] == 0
-        assert a["torn_records"] == 0
-        assert a["failovers"] >= 6
-        assert a["rejoins"] == 6
-        different = run_replication_storm(n_schedules=6, base_seed=500)
-        assert different["digest"] != a["digest"]
+    Writes and deletes, kills the primary mid-batch at a drawn point,
+    audits the promoted primary, rejoins the deposed one, converges and
+    audits again.  Returns the schedule's counters.
+    """
+    links = FaultPlanFactory(FaultSpec(
+        seed=seed, network_error=0.04,
+        latency_spike=0.02, latency_spike_ns=400_000.0,
+        partition=0.01, partition_max_ns=2_000_000.0))
+    group = make_group(link_faults=links, name=f"storm{seed}")
+    rng = random.Random(seed)
+    acked = {}
+    for i in range(20):
+        key = b"st%04d" % i
+        acked[key] = rng.randbytes(rng.randrange(64, 320))
+        group.put(key, acked[key])
+    deleted = sorted(acked)[:3]
+    for key in deleted:
+        group.delete(key)
+        del acked[key]
+    old_primary = group.primary_id
+    mid_key, mid_data = b"st-mid", rng.randbytes(128)
+    group.crash_primary(mid_record=(mid_key, mid_data,
+                                    rng.randrange(0, 3)))
+
+    def lost():
+        missing = 0
+        for key, data in sorted(acked.items()):
+            try:
+                missing += group.get(key) != data
+            except DatabaseError:
+                missing += 1
+        return missing
+
+    # Every acked write readable byte-exact, every acked delete gone,
+    # the unacknowledged mid-crash record all-or-nothing.
+    lost_count = lost() + sum(group.exists(key) for key in deleted)
+    torn = group.exists(mid_key) and group.get(mid_key) != mid_data
+    group.rejoin(old_primary)
+    # Each catch-up retry's backoff walks member clocks past any open
+    # partition window.
+    for _ in range(20):
+        group.catch_up()
+        if group.max_lag() == 0:
+            break
+    stats = group.stats
+    return {"lost": lost_count + lost(), "torn": int(torn),
+            "failovers": stats.failovers, "rejoins": stats.rejoins,
+            "failover_ns": stats.last_failover_ns,
+            "state": (group.epoch, group.primary_id, stats.acked_writes,
+                      stats.records_shipped, group.ship_retries(),
+                      stats.fenced_ships, stats.truncated_records,
+                      group.max_lag())}
+
+
+def run_storm(n_schedules, base_seed):
+    """``n_schedules`` seeded kill schedules, reduced to totals, the
+    worst failover and a SHA-256 digest over every schedule's state."""
+    runs = [storm_schedule(base_seed + i) for i in range(n_schedules)]
+    return {
+        **{key: sum(run[key] for run in runs)
+           for key in ("lost", "torn", "failovers", "rejoins")},
+        "max_failover_ns": max(run["failover_ns"] for run in runs),
+        "digest": hashlib.sha256(repr(
+            [(run["state"], run["failover_ns"]) for run in runs])
+            .encode()).hexdigest(),
+    }
+
+
+class TestBenchReplication:
+    """Availability under a storm of seeded primary kills."""
+
+    def test_storm_reproducible_and_lossless(self):
+        storm = run_storm(100, base_seed=9000)
+        assert storm["lost"] == 0
+        assert storm["torn"] == 0
+        assert storm["failovers"] >= 100
+        assert storm["rejoins"] == 100
+        # Past 20 ms a failover's retry backoff or catch-up has run away.
+        assert storm["max_failover_ns"] <= 20e6
+        short = run_storm(6, base_seed=400)
+        assert short == run_storm(6, base_seed=400)
+        assert run_storm(6, base_seed=500)["digest"] != short["digest"]

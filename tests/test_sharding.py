@@ -6,6 +6,8 @@ as the makespan over shards, and two identical runs are *identical* —
 same assignment, same per-shard device traffic, same makespan.
 """
 
+import random
+
 import pytest
 
 from repro.db.config import EngineConfig
@@ -14,6 +16,7 @@ from repro.db.stats import EngineReport
 from repro.shard import ShardedBlobDB, ShardRouter
 from repro.sim.cost import CostModel, CostParams
 from repro.sim.workers import WorkerSim
+from repro.workloads.ycsb import zipf_sampler
 
 
 def small_config(**overrides):
@@ -123,15 +126,43 @@ class TestShardedBlobDB:
         assert observed >= max(per_shard)
 
     def test_more_shards_shrink_the_makespan(self):
-        keys = keyset(64)
-        makespans = []
-        for n in (1, 4):
-            sdb = ShardedBlobDB(n_shards=n, config=small_config())
-            sdb.multiput([(k, b"p" * 1024) for k in keys])
-            start = sdb.model.clock.now_ns
-            sdb.multiget(keys)
-            makespans.append(sdb.model.clock.now_ns - start)
-        assert makespans[1] < makespans[0]
+        elapsed = {n: batch_stream_ns(n) for n in (1, 2, 4, 8)}
+        assert elapsed[1] >= elapsed[2] >= elapsed[4] >= elapsed[8]
+        assert elapsed[1] >= 3.0 * elapsed[8]
+        # Zipf-0.99 piles each batch onto the hot key's shard: the
+        # makespan falls back toward serial, below 0.8x of uniform.
+        assert elapsed[8] < 0.8 * batch_stream_ns(8, zipf_theta=0.99)
+
+
+def batch_stream_ns(n_shards, zipf_theta=0.0, n_records=96, batch=128,
+                    payload=4096):
+    """Router-clock time of 24 scattered 128-key batches.
+
+    The key population is loaded untimed; then three rounds in four
+    ``multiget`` and the fourth ``multiput`` keys drawn uniformly or
+    Zipf-``theta`` (duplicates are upserts the hot shard serializes).
+    """
+    sdb = ShardedBlobDB(n_shards=n_shards, config=small_config())
+    rng = random.Random(3)
+    keys = keyset(n_records)
+    for lo in range(0, n_records, 32):
+        sdb.multiput([(key, rng.randbytes(payload))
+                      for key in keys[lo:lo + 32]])
+    if zipf_theta > 0:
+        sample = zipf_sampler(n_records, zipf_theta, rng)
+    else:
+        def sample():
+            return rng.randrange(n_records)
+    start = sdb.model.clock.now_ns
+    for round_no in range(24):
+        idx = [sample() for _ in range(batch)]
+        if round_no % 4 == 3:
+            sdb.multiput([(keys[i], rng.randbytes(payload)) for i in idx])
+        else:
+            assert all(len(data) == payload
+                       for data in sdb.multiget([keys[i] for i in idx]))
+    sdb.drain_commit_window()
+    return sdb.model.clock.now_ns - start
 
 
 def run_workload(n_shards=4, seed_keys=48):

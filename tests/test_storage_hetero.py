@@ -7,6 +7,8 @@ stripe fragment/makespan behaviour, and fault quarantine confined to a
 single stripe member.
 """
 
+import random
+
 import pytest
 
 from repro.db import BlobDB, EngineConfig
@@ -192,21 +194,41 @@ class TestWalOnPMem:
         assert db2.get("t", b"k1") == b"block wal"
 
     def test_durable_ack_cheaper_on_pmem(self):
-        def durable_commit_ns(on_pmem):
-            config = pmem_config() if on_pmem else small_config()
-            db = BlobDB(config)
+        """PMem wins at every group-commit window: a durable ack per
+        commit, then windows covering ~25 and ~100 commits, which
+        shrink the gap without closing it."""
+        def durable_commits_ns(on_pmem, window_ns):
+            # 1.4 MB of inline rows: checkpoints need a wider catalog.
+            db = BlobDB(small_config(
+                catalog_pages=512, pmem_pages=2048 if on_pmem else 0,
+                group_commit_window_ns=window_ns))
             db.create_table("t")
+            rng = random.Random(29)
+            for i in range(16):  # untimed warm-up of pool and WAL ring
+                with db.transaction() as txn:
+                    db.put(txn, "t", b"warm%04d" % i, rng.randbytes(8192))
             db.drain_commit_window()
             db.wal.sync_flush()
-            start = db.model.clock.now_ns
-            for i in range(4):
+            clock = db.model.clock
+            start = clock.now_ns
+            deadline = None
+            for i in range(160):
                 with db.transaction() as txn:
-                    db.put(txn, "t", b"k%d" % i, b"v" * 256)
-                db.drain_commit_window()
-                db.wal.sync_flush()
-            return db.model.clock.now_ns - start
+                    db.put(txn, "t", b"pm%05d" % i, rng.randbytes(8192))
+                if deadline is None:
+                    deadline = clock.now_ns + window_ns
+                if clock.now_ns >= deadline:
+                    # The commit that closes the window pays the
+                    # durability point for everyone who rode along.
+                    db.drain_commit_window()
+                    db.wal.sync_flush()
+                    deadline = None
+            return clock.now_ns - start
 
-        assert durable_commit_ns(True) < durable_commit_ns(False)
+        for window_ns in (0.0, 20_000.0, 80_000.0):
+            pmem = durable_commits_ns(True, window_ns)
+            nvme = durable_commits_ns(False, window_ns)
+            assert pmem < nvme, (window_ns, pmem, nvme)
 
 
 class TestFaultedByteAppends:
@@ -274,21 +296,33 @@ class TestStriping:
         assert all(m.resident_pages() > 0 for m in dev.members)
 
     def test_makespan_speedup_over_widths(self):
+        """Scattered 8-page extent reads plus periodic write-back
+        batches at QD 32: only the number of member queues varies."""
         def elapsed(n_devices):
             model = CostModel()
-            dev = StripedDevice(model, capacity_pages=1024,
+            dev = StripedDevice(model, capacity_pages=8192,
                                 n_devices=n_devices, stripe_pages=8)
-            ps = dev.page_size
-            for i in range(16):
-                dev.write(i * 8, b"\x07" * (8 * ps), background=True)
+            sched = IoScheduler(dev, model, queue_depth=32,
+                                max_merge_pages=64)
+            extent = 8 * dev.page_size
+            rng = random.Random(13)
+            for i in range(128):
+                dev.write(i * 8, rng.randbytes(extent), background=True)
             start = model.clock.now_ns
-            dev.submit([IoRequest(pid=i * 8, npages=8) for i in range(16)])
+            for round_no in range(24):
+                for i in rng.sample(range(128), 96):
+                    sched.submit_read(i * 8, 8)
+                sched.drain()
+                if round_no % 3 == 2:
+                    for i in rng.sample(range(128), 32):
+                        sched.submit_write(i * 8, rng.randbytes(extent))
+                    sched.drain()
             return model.clock.now_ns - start
 
-        one, four = elapsed(1), elapsed(4)
-        # A lone device already overlaps its own queue, so 16 extents
-        # don't quite halve; the >=2x gate lives in the bench sweep.
-        assert four < 0.7 * one  # parallel queues, makespan pricing
+        one, two, four = elapsed(1), elapsed(2), elapsed(4)
+        # Parallel member queues, makespan pricing.
+        assert one >= two >= four
+        assert one >= 2.0 * four
 
     def test_scheduler_keeps_coalesced_runs_inside_one_stripe(self):
         model = CostModel()
