@@ -12,7 +12,8 @@ LOG_POLICIES = ("async-blob", "physlog")
 CONCURRENCY_MODES = ("2pl", "occ")
 WAL_PLACEMENTS = ("auto", "pmem", "nvme")
 #: Relation-index engines: the accepted set, the validation error text,
-#: and the ablation/bench sweeps all derive from this one registry.
+#: and the engine loops of the index tests and Table III benchmark all
+#: derive from this one registry.
 INDEX_ENGINES = ("btree", "art", "learned")
 
 

@@ -258,7 +258,7 @@ class EngineReport:
                 f"storage:        wal on {self.wal_device_kind}, "
                 f"data striped x{self.stripe_width}, "
                 f"{self.pmem_bytes_written >> 10}K to pmem, "
-                f"{self.wal_byte_appends} byte appends")
+                f"{self.wal_byte_appends} sub-page appends")
         # Shard balance only makes sense with at least two shards:
         # single-engine (or one-shard) reports must not divide by the
         # shard count or print a meaningless imbalance ratio.

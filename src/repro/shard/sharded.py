@@ -12,7 +12,7 @@ a per-shard fan-out charge.  This lifts the wave-pipelining idea of
 wave, not the sum) one layer up: overlapped shard executions pay the
 slowest shard, not the sum.
 
-The consequence the bench sweep demonstrates: a uniform key batch over
+The consequence ``tests/test_sharding.py`` holds: a uniform key batch over
 N shards approaches N-way speedup, a Zipf-0.99 batch lands almost
 entirely on one shard and the makespan collapses back to the serial
 time — sharding buys nothing against skew it cannot split.

@@ -29,6 +29,7 @@ pages share one per-device object.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -39,6 +40,9 @@ from repro.sim.cost import CostModel
 #: Write categories used for amplification accounting.
 WRITE_CATEGORIES = ("data", "wal", "journal", "meta", "dwb", "index")
 
+#: Smallest write a block device accepts (the Samsung 980 Pro's block).
+LOGICAL_BLOCK_BYTES = 512
+
 
 class DeviceFull(Exception):
     """A write addressed a page beyond the device capacity."""
@@ -47,8 +51,9 @@ class DeviceFull(Exception):
 class CapabilityError(Exception):
     """An operation was issued to a device that lacks the capability.
 
-    The canonical case: a byte-granular append (``write_bytes``) on a
-    block-addressable device, which can only persist whole pages.
+    The canonical case: a ``write_bytes`` range that is not aligned to
+    the device's ``write_unit`` (a byte-granular append on a block
+    device, which only persists whole logical blocks).
     Callers negotiate through :attr:`StorageDevice.capabilities` instead
     of catching this in hot paths.
     """
@@ -61,9 +66,11 @@ class DeviceCapabilities:
     * ``kind`` — cost channel: which ``CostParams`` entries price this
       device's transfers (``"nvme"`` → ``ssd_*``, ``"pmem"`` →
       ``pmem_*``; wrappers report their substrate).
-    * ``byte_addressable`` — supports ``write_bytes``/``read_bytes``
-      with byte granularity and cache-line-flush durability; block
-      devices only move whole pages.
+    * ``byte_addressable`` — supports ``read_bytes`` and persists a
+      ``write_bytes`` on return (cache-line flush + fence); block
+      devices need an ``fdatasync`` to make writes durable.
+    * ``write_unit`` — the granularity of ``write_bytes``: 1 on
+      byte-addressable media, the logical-block size on block devices.
     * ``queue_depth`` — device-internal command parallelism; ``None``
       for byte-addressable media, whose loads/stores have no queue.
     * ``stripe_width`` — number of independent backing devices (> 1 for
@@ -76,6 +83,7 @@ class DeviceCapabilities:
     byte_addressable: bool = False
     queue_depth: int | None = None
     stripe_width: int = 1
+    write_unit: int = LOGICAL_BLOCK_BYTES
 
 
 @runtime_checkable
@@ -128,6 +136,15 @@ def capabilities_of(device) -> DeviceCapabilities:
     return caps
 
 
+def check_write_unit(device, offset: int, nbytes: int) -> None:
+    """Raise ``CapabilityError`` unless the byte range is unit-aligned."""
+    unit = capabilities_of(device).write_unit
+    if offset % unit or nbytes % unit:
+        raise CapabilityError(
+            f"{type(device).__name__} writes {unit}-byte units: byte "
+            f"range offset={offset} nbytes={nbytes} is not aligned")
+
+
 @dataclass
 class IoRequest:
     """One contiguous device command: ``npages`` starting at page ``pid``.
@@ -152,9 +169,9 @@ class DeviceStats:
     bytes_read: int = 0
     read_requests: int = 0
     write_requests: int = 0
-    #: Byte-granular appends (byte-addressable devices only).  Their
-    #: exact byte counts land in ``bytes_written_by_category`` — never
-    #: rounded up to pages, so write amplification stays honest.
+    #: ``write_bytes`` requests (sector appends on block devices, byte
+    #: appends on PMem).  Their exact byte counts land in
+    #: ``bytes_written_by_category`` — never rounded up to pages.
     byte_append_requests: int = 0
     bytes_written_by_category: dict[str, int] = field(
         default_factory=lambda: {c: 0 for c in WRITE_CATEGORIES})
@@ -271,7 +288,8 @@ class SimulatedNVMe:
     def capabilities(self) -> DeviceCapabilities:
         return DeviceCapabilities(
             kind="nvme", byte_addressable=False,
-            queue_depth=self.model.params.ssd_queue_depth)
+            queue_depth=self.model.params.ssd_queue_depth,
+            write_unit=math.gcd(LOGICAL_BLOCK_BYTES, self.page_size))
 
     @property
     def capacity_bytes(self) -> int:
@@ -420,21 +438,78 @@ class SimulatedNVMe:
             if self.protect:
                 self.model.crc32_bytes(write_bytes)
 
-    # -- byte-granular interface (capability-gated) ---------------------------
+    # -- sub-page interface ---------------------------------------------------
+
+    def _check_byte_range(self, offset: int, nbytes: int) -> None:
+        if offset < 0 or nbytes < 0:
+            raise ValueError(
+                f"bad byte range offset={offset} nbytes={nbytes}")
+        if offset + nbytes > self.capacity_bytes:
+            raise DeviceFull(
+                f"byte range [{offset}, {offset + nbytes}) beyond capacity "
+                f"{self.capacity_bytes} bytes")
 
     def write_bytes(self, offset: int, data: bytes, category: str = "wal",
                     background: bool = False) -> None:
-        """Byte-granular persist — unsupported on block devices."""
-        raise CapabilityError(
-            f"{type(self).__name__} is block-addressable: byte-granular "
-            f"appends need a byte-addressable device (capabilities."
-            f"byte_addressable)")
+        """Persist ``data`` at byte ``offset`` in whole write units.
+
+        Accounts exactly ``len(data)`` bytes (no rounding up to pages)
+        and prices one command, unless ``background`` (as in ``submit``).
+        """
+        check_write_unit(self, offset, len(data))
+        if not data:
+            return
+        self._check_byte_range(offset, len(data))
+        self._splice_bytes(offset, data)
+        if category not in self.stats.bytes_written_by_category:
+            self.stats.bytes_written_by_category[category] = 0
+        self.stats.bytes_written_by_category[category] += len(data)
+        self.stats.write_requests_by_category[category] = \
+            self.stats.write_requests_by_category.get(category, 0) + 1
+        self.stats.write_requests += 1
+        self.stats.byte_append_requests += 1
+        obs = self.model.obs
+        if obs is not None:
+            obs.count("device.write_bytes", len(data), category=category)
+            obs.count("device.byte_appends", background=background)
+        if not background:
+            self._charge_batch(0, 0, len(data), 1, None)
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         """Byte-granular load — unsupported on block devices."""
         raise CapabilityError(
             f"{type(self).__name__} is block-addressable: byte-granular "
             f"reads need a byte-addressable device")
+
+    def _splice_bytes(self, offset: int, data: bytes) -> None:
+        """Splice raw bytes into the page store as a legitimate write.
+
+        Substrate-internal: callers outside the storage layer must go
+        through :meth:`write_bytes` so cost and accounting stay honest.
+        Fault damage goes through ``_poke`` instead.
+        """
+        ps = self.page_size
+        pos = 0
+        while pos < len(data):
+            pid, byte_off = divmod(offset + pos, ps)
+            take = min(ps - byte_off, len(data) - pos)
+            page = bytearray(self._pages.get(pid, self._zero))
+            page[byte_off:byte_off + take] = data[pos:pos + take]
+            self._pages[pid] = bytes(page)
+            self._note_written(pid, 1)
+            pos += take
+
+    def peek_bytes(self, offset: int, nbytes: int) -> bytes:
+        """Raw byte view without charging (test/fault-injection helper)."""
+        self._check_byte_range(offset, nbytes)
+        if nbytes == 0:
+            return b""
+        ps = self.page_size
+        first_pid = offset // ps
+        last_pid = (offset + nbytes - 1) // ps
+        raw = self._gather(first_pid, last_pid - first_pid + 1)
+        start = offset - first_pid * ps
+        return raw[start:start + nbytes]
 
     # -- page store ------------------------------------------------------------
 

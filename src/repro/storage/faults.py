@@ -33,7 +33,7 @@ import zlib
 from dataclasses import dataclass, fields, replace
 
 from repro.db.errors import DeviceIOError, RetriesExhaustedError, TransientError
-from repro.storage.device import IoRequest
+from repro.storage.device import IoRequest, check_write_unit
 
 
 @dataclass(frozen=True)
@@ -371,39 +371,37 @@ class FaultyNVMe:
 
     def write_bytes(self, offset: int, data: bytes, category: str = "wal",
                     background: bool = False) -> None:
-        """Faulted byte-granular append (byte-addressable inner only).
+        """Faulted sub-page write (sector append or PMem byte append).
 
-        Torn appends land only a prefix of the new bytes (the suffix
-        keeps its pre-append content, CRCs diverging exactly like a torn
-        block write); bit flips corrupt one bit inside the appended
-        range.  A block-only inner raises its own ``CapabilityError``
-        before any fault draw is consumed.
+        A torn write lands a prefix (the suffix keeps its pre-image, CRCs
+        diverging like a torn block write); a bit flip hits the written
+        range.  An unaligned range raises before any fault draw.
         """
-        caps = getattr(self.inner, "capabilities", None)
-        if caps is None or not caps.byte_addressable:
-            self.inner.write_bytes(offset, data, category=category,
-                                   background=background)
-            return
+        check_write_unit(self.inner, offset, len(data))
         self._pre_op()
         if not data:
-            self.inner.write_bytes(offset, data, category=category,
-                                   background=background)
             return
         torn_at = self.plan.draw_torn_byte(len(data))
         flip = self.plan.draw_bit_flip(1, len(data))
         pre_suffix = None
         if torn_at is not None:
-            pre_suffix = self.inner.peek_bytes(offset + torn_at,
-                                               len(data) - torn_at)
+            pre_suffix = self._peek_bytes(offset + torn_at,
+                                          len(data) - torn_at)
         self.inner.write_bytes(offset, data, category=category,
                                background=background)
         if pre_suffix is not None:
             self._poke_bytes(offset + torn_at, pre_suffix)
         if flip is not None:
             _page, bit = flip
-            byte = bytearray(self.inner.peek_bytes(offset + bit // 8, 1))
+            byte = bytearray(self._peek_bytes(offset + bit // 8, 1))
             byte[0] ^= 1 << (bit % 8)
             self._poke_bytes(offset + bit // 8, bytes(byte))
+
+    def _peek_bytes(self, offset: int, nbytes: int) -> bytes:
+        ps = self.inner.page_size
+        first = offset // ps
+        raw = self.inner.peek(first, (offset + nbytes - 1) // ps - first + 1)
+        return raw[offset - first * ps:offset - first * ps + nbytes]
 
     def _poke_bytes(self, offset: int, data: bytes) -> None:
         """Raw byte splice *without* refreshing protection CRCs.

@@ -14,6 +14,8 @@ map those PIDs with the available physical addresses."
 * every logical page write lands on a freshly allocated physical page
   (log-structured); the previous physical page, if any, returns to the
   free pool immediately — overwrites self-reclaim;
+* a sub-page ``write_bytes`` (the WAL's sector appends) lands in place
+  in the mapped physical page, as an FTL absorbs a partial-page write;
 * ``trim`` releases the physical pages of deleted logical extents;
 * reads translate per page and gather (one request per physically
   contiguous run), priced through the shared cost model.
@@ -32,6 +34,7 @@ from repro.storage.device import (
     DeviceFull,
     IoRequest,
     SimulatedNVMe,
+    check_write_unit,
 )
 
 
@@ -78,7 +81,8 @@ class RemappedDevice:
     def capabilities(self) -> DeviceCapabilities:
         return DeviceCapabilities(
             kind="remap", byte_addressable=False,
-            queue_depth=self.model.params.ssd_queue_depth)
+            queue_depth=self.model.params.ssd_queue_depth,
+            write_unit=self.physical.capabilities.write_unit)
 
     @property
     def stats(self):
@@ -187,6 +191,28 @@ class RemappedDevice:
                 self.physical.peek(p, 1) if p >= 0 else blank
                 for p in phys))
         return results
+
+    def write_bytes(self, offset: int, data: bytes, category: str = "wal",
+                    background: bool = False) -> None:
+        """Sub-page write, in place in the mapped physical pages (mapped
+        fresh if never written), one command per contiguous run."""
+        check_write_unit(self, offset, len(data))
+        if not data:
+            return
+        ps = self.page_size
+        first = offset // ps
+        npages = (offset + len(data) - 1) // ps - first + 1
+        self._check_logical(first, npages)
+        phys = [self._map.get(first + i) for i in range(npages)]
+        phys = [self._translate_write(first + i) if p is None else p
+                for i, p in enumerate(phys)]
+        for run_start, run_len, page_off in _runs(phys):
+            lo = max(offset, (first + page_off) * ps)
+            hi = min(offset + len(data), (first + page_off + run_len) * ps)
+            self.physical.write_bytes(
+                run_start * ps + lo - (first + page_off) * ps,
+                data[lo - offset:hi - offset], category=category,
+                background=background)
 
     def peek(self, pid: int, npages: int = 1) -> bytes:
         self._check_logical(pid, npages)

@@ -37,6 +37,7 @@ from repro.storage.device import (
     IoRequest,
     SimulatedNVMe,
     _npages,
+    check_write_unit,
 )
 
 
@@ -84,7 +85,8 @@ class StripedDevice:
         return DeviceCapabilities(
             kind="striped", byte_addressable=False,
             queue_depth=self.model.params.ssd_queue_depth,
-            stripe_width=self.n_devices)
+            stripe_width=self.n_devices,
+            write_unit=self.members[0].capabilities.write_unit)
 
     @property
     def capacity_bytes(self) -> int:
@@ -233,9 +235,32 @@ class StripedDevice:
 
     def write_bytes(self, offset: int, data: bytes, category: str = "wal",
                     background: bool = False) -> None:
-        raise CapabilityError(
-            "StripedDevice is block-addressable: byte-granular appends "
-            "need a byte-addressable device")
+        """Unit-aligned sub-page write, split at stripe-chunk boundaries."""
+        if self.n_devices == 1:
+            self.members[0].write_bytes(offset, data, category=category,
+                                        background=background)
+            return
+        check_write_unit(self, offset, len(data))
+        if not data:
+            return
+        ps = self.page_size
+        first = offset // ps
+        npages = (offset + len(data) - 1) // ps - first + 1
+        self._check_range(first, npages)
+        makespan = 0.0
+        for member_id, member_pid, take, off in self._fragments(first,
+                                                                npages):
+            lo = max(offset, (first + off) * ps)
+            hi = min(offset + len(data), (first + off + take) * ps)
+            member = self.members[member_id]
+            start = member.model.clock.now_ns
+            member.write_bytes(member_pid * ps + lo - (first + off) * ps,
+                               data[lo - offset:hi - offset],
+                               category=category, background=background)
+            makespan = max(makespan, member.model.clock.now_ns - start)
+        if makespan > 0.0:
+            self.model.clock.advance(makespan)
+            self.model.io_time_ns += makespan
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         raise CapabilityError(

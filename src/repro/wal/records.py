@@ -17,6 +17,9 @@ from typing import ClassVar, Iterator
 
 _FRAME = struct.Struct(">BIQ")
 _CRC = struct.Struct(">I")
+#: A scan reads a frame only when this many bytes remain, so this many
+#: zero bytes after the last frame end the log cleanly.
+END_MARKER_BYTES = _FRAME.size + _CRC.size
 
 
 def _pack_bytes(*parts: bytes) -> bytes:
@@ -300,7 +303,7 @@ def scan_records(raw: bytes) -> WalScan:
     end = len(raw)
     last_seq = -1
     while True:
-        if off + _FRAME.size + _CRC.size > end:
+        if off + END_MARKER_BYTES > end:
             return WalScan(records, off, last_seq, "end")
         rtype, length, seq = _FRAME.unpack_from(raw, off)
         if rtype == 0 and length == 0 and seq == 0:

@@ -14,6 +14,11 @@ them to a dedicated device region:
   to finish" when BLOB-sized records stream through a BLOB-sized buffer
   (Section V-B, 10 MB payload).
 
+A flush rewrites only the device write units it touches (512 B on
+NVMe, 1 B on PMem): the first unit's durable prefix, the new bytes, and
+at least one frame header of zeros, so a scan of a wrapped ring ends
+cleanly instead of in stale frames.
+
 When the region runs low the writer invokes the checkpoint callback and
 rewinds — checkpoint frequency is therefore proportional to logged bytes,
 reproducing "it increases the log size and thus triggers WAL
@@ -27,8 +32,8 @@ from typing import Callable
 
 from repro.io import IoScheduler
 from repro.sim.cost import CostModel
-from repro.storage.device import SimulatedNVMe
-from repro.wal.records import LogRecord, decode_records
+from repro.storage.device import SimulatedNVMe, capabilities_of
+from repro.wal.records import END_MARKER_BYTES, LogRecord, decode_records
 
 #: Chunk size (pages) of the deep-queue sequential scan recovery uses to
 #: read the log region: the region is split into chunks submitted as one
@@ -89,11 +94,9 @@ class WalWriter:
         self.buffer_bytes = buffer_bytes
         self.checkpoint_cb = checkpoint_cb
         self.category = category
-        caps = getattr(device, "capabilities", None)
-        #: Byte-addressable log devices (PMem) take the byte-append fast
-        #: path: no page round-up, no durable-prefix rewrite, persistence
-        #: via cache-line flush + fence instead of fdatasync.
-        self._byte_log = bool(caps is not None and caps.byte_addressable)
+        #: The device's write unit (512 B on NVMe, 1 B on PMem) and
+        #: durability model (PMem persists inside ``write_bytes``).
+        self._caps = capabilities_of(device)
         #: Optional RetryPolicy; when set, region writes survive
         #: transient device faults (set by the engine, not per-call).
         self.retry = None
@@ -101,9 +104,9 @@ class WalWriter:
         self._buffer = bytearray()
         #: Bytes durably written into the region since the last rewind.
         self._write_off = 0
-        #: Durable prefix of the current (incomplete) region page; a flush
-        #: that lands mid-page rewrites the page including this prefix.
-        self._page_head = b""
+        #: Durable prefix of the current (incomplete) write unit; a flush
+        #: that lands mid-unit rewrites the unit including this prefix.
+        self._head = b""
         self._lsn = 0
         #: Strictly increasing frame sequence; never rewinds, so stale
         #: ring bytes from a previous pass are detectable at recovery.
@@ -175,7 +178,7 @@ class WalWriter:
     def sync_flush(self) -> None:
         """Drain the buffer synchronously (fsync-like durability point)."""
         self._flush_prefix(len(self._buffer), background=False)
-        if not self._byte_log:
+        if not self._caps.byte_addressable:
             # PMem appends persist inside write_bytes (cache-line flush
             # + fence); block devices need the fdatasync round-trip.
             self.model.syscall("fdatasync")
@@ -189,31 +192,22 @@ class WalWriter:
             obs.begin("wal.flush")
         self._in_flush = True
         try:
-            ps = self.device.page_size
             self._ensure_space(nbytes)
-            if self._byte_log:
-                # Byte-append fast path: exactly the new bytes land — no
-                # page round-up, no re-write of the durable page prefix.
-                chunk = bytes(self._buffer[:nbytes])
-                byte_off = self.region_pid * ps + self._write_off
+            # Unit-aligned: that unit's durable prefix, the new bytes and
+            # a zero frame header (clipped at the region end, where the
+            # scan ends anyway).
+            unit = self._caps.write_unit
+            chunk = self._head + bytes(self._buffer[:nbytes])
+            start = self._write_off - len(self._head)
+            padded = chunk.ljust(min(
+                -(-(len(chunk) + END_MARKER_BYTES) // unit) * unit,
+                self.region_bytes - start), b"\x00")
+            byte_off = self.region_pid * self.device.page_size + start
 
-                def _write() -> None:
-                    self.device.write_bytes(byte_off, chunk,
-                                            category=self.category,
-                                            background=background)
-            else:
-                # The write starts at the page holding the current offset
-                # and must re-include that page's already-durable prefix.
-                chunk = self._page_head + bytes(self._buffer[:nbytes])
-                npages = (len(chunk) + ps - 1) // ps
-                padded = chunk.ljust(npages * ps, b"\x00")
-                first_pid = self.region_pid \
-                    + (self._write_off - len(self._page_head)) // ps
-
-                def _write() -> None:
-                    self.device.write(first_pid, padded,
-                                      category=self.category,
-                                      background=background)
+            def _write() -> None:
+                self.device.write_bytes(byte_off, padded,
+                                        category=self.category,
+                                        background=background)
             flush_start = self.model.clock.now_ns
             if self.retry is not None:
                 self.retry.run(_write)
@@ -227,9 +221,7 @@ class WalWriter:
                     self.model.clock.now_ns - flush_start
             del self._buffer[:nbytes]
             self._write_off += nbytes
-            if not self._byte_log:
-                in_page = self._write_off % ps
-                self._page_head = chunk[-in_page:] if in_page else b""
+            self._head = chunk[len(chunk) - self._write_off % unit:]
             san = self.model.san
             if san is not None:
                 # Everything up to (appended - still buffered) is durable.
@@ -244,9 +236,9 @@ class WalWriter:
                 obs.count("wal.flushes", background=background)
 
     def _ensure_space(self, nbytes: int) -> None:
-        # Block rings leave one page of slack for the final page's zero
-        # padding; byte logs append exactly and use the whole region.
-        slack = 0 if self._byte_log else self.device.page_size
+        # Block rings leave one page of slack for the final unit's zero
+        # padding; byte logs use the whole region.
+        slack = 0 if self._caps.byte_addressable else self.device.page_size
         if self._write_off + nbytes > self.region_bytes - slack:
             self.checkpoint()
 
@@ -262,7 +254,7 @@ class WalWriter:
             if self.checkpoint_cb is not None:
                 self.checkpoint_cb()
             self._write_off = 0
-            self._page_head = b""
+            self._head = b""
         finally:
             if obs is not None:
                 obs.end()
@@ -271,7 +263,7 @@ class WalWriter:
     def reset(self) -> None:
         """Rewind without invoking the callback (post-checkpoint reset)."""
         self._write_off = 0
-        self._page_head = b""
+        self._head = b""
 
     def set_seq_floor(self, seq: int) -> None:
         """Continue frame sequencing above ``seq`` (used after recovery,

@@ -118,8 +118,9 @@ class TestCommitWindow:
             db.drain_commit_window()
             return db.device.stats.bytes_written_by_category["wal"] - base
 
-        # Per-commit flushing rewrites the WAL's partial tail page once
-        # per commit; one windowed flush writes each page once.
+        # Per-commit flushing rewrites the WAL's partial tail sector and
+        # its zero end marker once per commit; one windowed flush writes
+        # each sector once.
         assert wal_bytes(1e15) < wal_bytes(0.0)
 
     def test_deferred_commits_survive_crash_after_drain(self):

@@ -1,7 +1,7 @@
 """Heterogeneous storage: capability typing, PMem tier, striping.
 
-Covers the capability-negotiation edge cases (byte appends on block
-devices, WAL placement fallbacks), the PMem byte-accounting rules
+Covers the capability-negotiation edge cases (unaligned appends on
+block devices, WAL placement fallbacks), the PMem byte-accounting rules
 (appends are never rounded up to pages), the K=1 striping identity,
 stripe fragment/makespan behaviour, and fault quarantine confined to a
 single stripe member.
@@ -13,7 +13,7 @@ import pytest
 
 from repro.db import BlobDB, EngineConfig
 from repro.io import IoScheduler
-from repro.sim.cost import CostModel
+from repro.sim.cost import SYSCALL_NS, CostModel
 from repro.storage import (
     CapabilityError,
     DeviceStats,
@@ -91,7 +91,7 @@ class TestCapabilityNegotiation:
         assert not storage.heterogeneous
         assert storage.wal is storage.data
         db = BlobDB(config)
-        assert not db.wal._byte_log
+        assert capabilities_of(db.wal_device).write_unit == 512
 
     def test_wal_placement_auto_prefers_pmem(self):
         config = pmem_config()
@@ -111,7 +111,7 @@ class TestCapabilityNegotiation:
         assert capabilities_of(storage.meta).kind == "pmem"
         assert storage.wal is storage.data
         db = BlobDB(config)
-        assert not db.wal._byte_log
+        assert capabilities_of(db.wal_device).write_unit == 512
 
     def test_undersized_pmem_tier_rejected(self):
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestWalOnPMem:
         config = pmem_config()
         db = BlobDB(config)
         assert db.storage.heterogeneous
-        assert db.wal._byte_log
+        assert capabilities_of(db.wal_device).write_unit == 1
         db.create_table("t")
         with db.transaction() as txn:
             db.put(txn, "t", b"k1", b"hello pmem")
@@ -188,7 +188,14 @@ class TestWalOnPMem:
             db.put(txn, "t", b"k1", b"block wal")
         db.drain_commit_window()
         db.wal.sync_flush()
-        assert db.wal_device.stats.byte_append_requests == 0
+        # A block WAL writes whole sectors and pays fdatasync for its
+        # durable point (an empty flush costs exactly that syscall).
+        wal_caps = capabilities_of(db.wal_device)
+        assert wal_caps.write_unit == 512 and not wal_caps.byte_addressable
+        assert db.wal_device.stats.bytes_written_by_category["wal"] % 512 == 0
+        before = db.model.clock.now_ns
+        db.wal.sync_flush()
+        assert db.model.clock.now_ns - before == SYSCALL_NS["fdatasync"]
         storage = db.crash()
         db2 = BlobDB.recover(storage, config, db.model)
         assert db2.get("t", b"k1") == b"block wal"

@@ -1,10 +1,20 @@
 """Tests for WAL records, the ring writer, group commit, checkpoints."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.db import BlobDB, EngineConfig
 from repro.sim.cost import CostModel
-from repro.storage.device import SimulatedNVMe
+from repro.storage import (
+    SimulatedNVMe,
+    SimulatedPMem,
+    StripedDevice,
+    capabilities_of,
+)
+from repro.storage.faults import FaultPlan, FaultyNVMe
+from repro.storage.remap import RemappedDevice
 from repro.wal.records import (
     BlobChunkRecord,
     BlobDeltaRecord,
@@ -16,6 +26,7 @@ from repro.wal.records import (
     TxnCommitRecord,
     UpdateRecord,
     decode_records,
+    scan_records,
 )
 from repro.wal.writer import WalFullError, WalWriter
 
@@ -187,3 +198,230 @@ class TestWalWriter:
         with pytest.raises(ValueError):
             WalWriter(device, model, region_pid=0, region_pages=4,
                       buffer_bytes=100)
+
+
+#: Zero bytes a scan needs after the last frame to end cleanly: one
+#: frame header plus its CRC.
+END_MARKER = 17
+
+
+def _flush_devices():
+    """(name, device factory, expected write unit) for the oracle."""
+    return [
+        ("nvme", lambda m: SimulatedNVMe(m, capacity_pages=64), 512),
+        ("pmem", lambda m: SimulatedPMem(m, capacity_pages=64), 1),
+        ("striped2", lambda m: StripedDevice(m, capacity_pages=64,
+                                             n_devices=2, stripe_pages=2),
+         512),
+        ("remapped", lambda m: RemappedDevice(m, physical_pages=64), 512),
+        ("faulty-nvme", lambda m: FaultyNVMe(
+            SimulatedNVMe(m, capacity_pages=64), FaultPlan(seed=3)), 512),
+    ]
+
+
+def _expected_flush_bytes(off, n, unit, room):
+    """WAL bytes one flush writes: the units ``[off, off + n)`` touches,
+    grown unit by unit until at least a frame header of zeros follows
+    the tail, clipped at the end of the region."""
+    head = off % unit
+    written = -(-(head + n) // unit) * unit
+    while written - (head + n) < END_MARKER:
+        written += unit
+    return min(written, room - (off - head))
+
+
+class TestFlushShapeOracle:
+    """A seeded stream of appends, flushes and checkpoints on every
+    device kind; after each flush the region, the byte count and the
+    checkpoint count are checked against an independent reference."""
+
+    @pytest.mark.parametrize("name,make,unit", _flush_devices(),
+                             ids=[d[0] for d in _flush_devices()])
+    def test_every_flush_matches_the_reference(self, name, make, unit):
+        model = CostModel()
+        device = make(model)
+        assert capabilities_of(device).write_unit == unit
+        #: LSN at which each pass of the ring starts.
+        rewinds = [0]
+
+        def on_checkpoint():
+            rewinds.append(wal.lsn - len(wal._buffer))
+
+        wal = WalWriter(device, model, region_pid=2, region_pages=8,
+                        buffer_bytes=4096, checkpoint_cb=on_checkpoint)
+        ps = device.page_size
+        slack = 0 if capabilities_of(device).byte_addressable else ps
+        stream = bytearray()
+        bounds = {0}
+        ref = {"off": 0, "checkpoints": 0}
+        inner_flush = wal._flush_prefix
+
+        def wal_bytes():
+            return device.stats.bytes_written_by_category["wal"]
+
+        def checked_flush(nbytes, background):
+            n = min(nbytes, len(wal._buffer))
+            before = wal_bytes()
+            # The trigger rule: checkpoint when the flush would cross the
+            # region end minus one page of slack on block devices.
+            if n > 0 and ref["off"] + n > wal.region_bytes - slack:
+                ref["checkpoints"] += 1
+                ref["off"] = 0
+            off = ref["off"]
+            inner_flush(nbytes, background)
+            assert wal.stats.checkpoints == ref["checkpoints"]
+            if n <= 0:
+                assert wal_bytes() == before
+                return
+            ref["off"] += n
+            assert wal._write_off == ref["off"]
+            assert wal_bytes() - before == _expected_flush_bytes(
+                off, n, unit, wal.region_bytes)
+            durable = wal.lsn - len(wal._buffer)
+            region = device.peek(2, 8)
+            assert region[:wal._write_off] == stream[rewinds[-1]:durable]
+            # A pass that starts on a frame boundary and a whole-buffer
+            # flush must scan to a clean end; an overflow flush (or a
+            # rewind inside one) may cut a frame.
+            scan = scan_records(region)
+            if not wal._buffer and rewinds[-1] in bounds:
+                assert scan.stop_reason == "end"
+                assert scan.valid_bytes == wal._write_off
+            else:
+                assert scan.valid_bytes <= wal._write_off
+
+        wal._flush_prefix = checked_flush
+        rng = random.Random(name)
+        for i in range(600):
+            op = rng.random()
+            if op < 0.6:
+                if rng.random() < 0.03:
+                    record = BlobChunkRecord(txn_id=i, table="t", key=b"k",
+                                             offset=0,
+                                             data=rng.randbytes(9000))
+                else:
+                    record = InsertRecord(
+                        txn_id=i, table="t", key=b"k%d" % i,
+                        value=rng.randbytes(rng.randrange(0, 1500)))
+                stream += record.encode(wal._next_seq)
+                bounds.add(len(stream))
+                wal.append(record)
+            elif op < 0.85:
+                wal.group_commit_flush()
+            elif op < 0.97:
+                wal.sync_flush()
+            else:
+                wal.checkpoint()
+                ref["checkpoints"] += 1
+                ref["off"] = 0
+                rewinds.append(wal.lsn - len(wal._buffer))
+        assert ref["checkpoints"] >= 3
+
+
+def _tail_config():
+    return EngineConfig(device_pages=256, wal_pages=8, catalog_pages=8,
+                        buffer_pool_pages=64)
+
+
+def _base_frame_len():
+    return len(InsertRecord(txn_id=0, table="t", key=b"tail",
+                            value=b"").encode(1))
+
+
+class TestCleanTailAfterWrap:
+    """A tail that ends just short of a unit end over a wrapped ring
+    still scans as a clean end: the flush leaves a zero frame header."""
+
+    @pytest.mark.parametrize("gap", [0, 5, 16])
+    def test_clean_crash_truncates_nothing(self, gap):
+        config = _tail_config()
+        db = BlobDB(config)
+        wal = db.wal
+        assert capabilities_of(db.wal_device).write_unit == 512
+        i = 0
+        while wal.stats.checkpoints == 0:  # fill the first pass
+            wal.append(InsertRecord(txn_id=10_000 + i, table="t",
+                                    key=b"old", value=b"\xee" * 300))
+            wal.group_commit_flush()
+            i += 1
+        wal.checkpoint()
+        # One frame whose end lies ``gap`` bytes before a unit (and page)
+        # end; the next unit still holds the previous pass's frames.
+        end = 4096 - gap
+        wal.append(InsertRecord(txn_id=1, table="t", key=b"tail",
+                                value=b"\x01" * (end - _base_frame_len())))
+        wal.group_commit_flush()
+        assert wal._write_off == end
+        region = db.wal_device.peek(config.wal_region_pid, config.wal_pages)
+        assert scan_records(region).stop_reason == "end"
+        recovered = BlobDB.recover(db.crash(), config)
+        assert recovered.recovery_info.wal_records_truncated == 0
+
+    def test_pmem_tail_ends_cleanly_after_wrap(self):
+        model = CostModel()
+        dev = SimulatedPMem(model, capacity_pages=16)
+        wal = WalWriter(dev, model, region_pid=0, region_pages=4,
+                        buffer_bytes=4096)
+        while wal.stats.checkpoints == 0:
+            wal.append(InsertRecord(txn_id=9, table="t", key=b"old",
+                                    value=b"\xee" * 300))
+            wal.group_commit_flush()
+        wal.checkpoint()
+        wal.append(TxnBeginRecord(txn_id=1))
+        wal.group_commit_flush()
+        assert scan_records(dev.peek(0, 4)).stop_reason == "end"
+
+
+class _TearOnce(FaultPlan):
+    """Tears the next write at byte ``at`` once armed; records lengths."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.at = None
+        self.lengths = []
+
+    def draw_torn_byte(self, nbytes):
+        self.lengths.append(nbytes)
+        at, self.at = self.at, None
+        if at is None or at >= nbytes:
+            return None
+        self.stats.torn_writes += 1
+        return at
+
+
+class TestTornSectorRewrite:
+    def _run(self, tear_at):
+        config = _tail_config()
+        plan = _TearOnce()
+        device = FaultyNVMe(SimulatedNVMe(CostModel(), capacity_pages=256),
+                            plan)
+        db = BlobDB(config, device=device)
+        db.create_table("t")
+        durable = {}
+        for k in range(3):
+            key, value = b"k%d" % k, bytes([k + 1]) * (70 + 31 * k)
+            with db.transaction() as txn:
+                db.put(txn, "t", key, value)
+            durable[key] = value
+        db.drain_commit_window()
+        db.wal.sync_flush()
+        assert db.wal._write_off % 512  # the tail sector is partial
+        plan.lengths.clear()
+        plan.at = tear_at
+        with db.transaction() as txn:
+            db.put(txn, "t", b"new", b"\x09" * 40)
+        db.drain_commit_window()
+        rewrite = plan.lengths[0]
+        recovered = BlobDB.recover(db.crash(), config)
+        return recovered, durable, plan, rewrite
+
+    def test_tear_at_every_byte_keeps_the_durable_prefix(self):
+        _, _, _, rewrite = self._run(None)
+        assert rewrite == 512
+        for tear_at in range(rewrite):
+            recovered, durable, plan, _ = self._run(tear_at)
+            assert plan.stats.torn_writes == 1
+            for key, value in durable.items():
+                assert recovered.get("t", key) == value, tear_at
+            if recovered.exists("t", b"new"):
+                assert recovered.get("t", b"new") == b"\x09" * 40
