@@ -63,7 +63,13 @@ class RecoveredState:
     failed_txns: list[int] = field(default_factory=list)
     #: Highest valid WAL frame sequence; the new WAL continues above it.
     wal_max_seq: int = 0
-    #: WAL-region pages whose stored bytes failed their protection CRC.
+    #: WAL-ring pages the scan read, and the windows (read batches) it
+    #: took: it stops at the log's end unless a damaged frame needs the
+    #: rest of the ring for the resync probe.
+    wal_pages_read: int = 0
+    wal_windows: int = 0
+    #: Pages among those read whose stored bytes failed their protection
+    #: CRC (damage past the log's end is never read, so never counted).
     wal_corrupt_pages: int = 0
     #: Damaged-tail truncations: each discards the log from the first
     #: unreadable record onward (at least that record is lost).
@@ -147,7 +153,9 @@ def _recover_state_body(device: SimulatedNVMe, config: EngineConfig,
     finally:
         if obs is not None:
             obs.end(corrupt_pages=state.wal_corrupt_pages,
-                    truncated=state.wal_records_truncated)
+                    truncated=state.wal_records_truncated,
+                    pages_read=state.wal_pages_read,
+                    windows=state.wal_windows)
     committed, aborted, seen_txns = _analyze_outcomes(records)
     if seen_txns:
         state.next_txn_id = max(state.next_txn_id, max(seen_txns) + 1)
@@ -288,35 +296,56 @@ def _load_snapshot(device: SimulatedNVMe, config: EngineConfig,
 
 def _read_wal(device: SimulatedNVMe, config: EngineConfig,
               model: CostModel, state: RecoveredState, retry=None) -> list:
-    """Scan the WAL region, hardening against device-level damage.
+    """Scan the WAL ring up to the log's end, hardening against damage.
 
-    The region is read unverified (recovery owns corruption handling
-    here), then audited: page-level CRC failures are counted, and the
-    frame scan decides what a damaged frame means.  Damage at the *tail*
-    is the expected shape of a torn final flush — the log is truncated at
-    the first bad record and the loss is counted.  Damage with valid
-    same-pass frames *beyond* it (found by a bounded resync probe) means
-    committed work would be silently dropped by truncation, so recovery
-    refuses with :class:`WalCorruptionError` instead.
+    The ring is read unverified (recovery owns corruption handling
+    here) in windows of one scan queue wave — ``SCAN_QUEUE_DEPTH ×
+    SCAN_CHUNK_PAGES`` pages, each window one chunked deep-queue batch
+    — and the frame scan resumes where the last window stopped.  A zero
+    frame header inside the bytes read ends the log: nothing past it is
+    read.  A frame running past the bytes read needs the next window.  A
+    damaged frame needs the rest of the ring, read once, so the resync
+    probe sees every byte after the damage.  Page-level CRC failures are
+    counted over the pages read.  Damage at the *tail* is the expected
+    shape of a torn final flush — the log is truncated at the first bad
+    record and the loss is counted.  Damage with valid same-pass frames
+    *beyond* it means committed work would be silently dropped by
+    truncation, so recovery refuses with :class:`WalCorruptionError`.
     """
-    # The whole region is scanned as a chunked deep-queue sequential
-    # batch: chunk latencies overlap up to the scan queue depth instead
-    # of serializing behind one giant read command.
-    raw = _io(retry, lambda: scan_region(
-        device, model, config.wal_region_pid, config.wal_pages))
+    def read_on(npages: int) -> bytes:
+        pid = config.wal_region_pid + state.wal_pages_read
+        chunk = _io(retry, lambda: scan_region(device, model, pid, npages))
+        state.wal_pages_read += npages
+        state.wal_windows += 1
+        return chunk
+
+    region_bytes = config.wal_pages * device.page_size
+    records: list = []
+    raw, base, last_seq = b"", 0, -1
+    while True:
+        raw += read_on(min(SCAN_QUEUE_DEPTH * SCAN_CHUNK_PAGES,
+                           config.wal_pages - state.wal_pages_read))
+        scan = scan_records(raw, last_seq, region_bytes - base)
+        records += scan.records
+        last_seq = scan.max_seq
+        if scan.stop_reason != "short":
+            break
+        raw, base = raw[scan.valid_bytes:], base + scan.valid_bytes
+    if scan.stop_reason == "bad_frame" and \
+            state.wal_pages_read < config.wal_pages:
+        raw += read_on(config.wal_pages - state.wal_pages_read)
     state.wal_corrupt_pages = len(
-        device.verify_range(config.wal_region_pid, config.wal_pages))
-    scan = scan_records(raw)
-    state.wal_max_seq = max(scan.max_seq, 0)
+        device.verify_range(config.wal_region_pid, state.wal_pages_read))
+    state.wal_max_seq = max(last_seq, 0)
     if scan.stop_reason == "bad_frame":
-        beyond = find_frame_beyond(raw, scan.valid_bytes + 1, scan.max_seq)
+        beyond = find_frame_beyond(raw, scan.valid_bytes + 1, last_seq)
         if beyond is not None:
             raise WalCorruptionError(
-                f"WAL damaged at byte {scan.valid_bytes} but a valid "
-                f"record (same pass) survives at byte {beyond}: "
-                f"truncation would drop committed work")
+                f"WAL damaged at byte {base + scan.valid_bytes} but a "
+                f"valid record (same pass) survives at byte "
+                f"{base + beyond}: truncation would drop committed work")
         state.wal_records_truncated += 1
-    return [record for _, record in scan.records]
+    return [record for _, record in records]
 
 
 def _compute_live(snapshot_tables: dict[str, dict[bytes, object]], records,

@@ -10,6 +10,7 @@ earlier pass over the WAL ring.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -283,7 +284,8 @@ class WalScan:
     ``stop_reason`` distinguishes a log that simply ended (``"end"`` —
     the remaining bytes never held a frame of this pass) from one that
     stopped at a damaged or stale frame (``"bad_frame"`` — a CRC
-    failure, an unknown type, a length overrun, or a sequence drop).
+    failure, an unknown type, a length overrun, or a sequence drop),
+    and both from a prefix that ran out of bytes mid-frame (``"short"``).
     """
 
     records: list[tuple[int, "LogRecord"]]
@@ -294,17 +296,26 @@ class WalScan:
     stop_reason: str
 
 
-def scan_records(raw: bytes) -> WalScan:
+def scan_records(raw: bytes, last_seq: int = -1,
+                 region_bytes: int | None = None) -> WalScan:
     """Validate frames from offset 0, reporting where and why the scan
     stopped — recovery uses this to decide between tail truncation and
-    declaring unrecoverable mid-log corruption."""
+    declaring unrecoverable mid-log corruption.
+
+    ``raw`` may be a prefix of a ``region_bytes``-long region: a frame
+    or end marker that runs past ``raw`` but not past the region stops
+    the scan as ``"short"`` — read more, then resume at ``valid_bytes``
+    with ``last_seq=max_seq``.  The verdicts are those of scanning the
+    whole region at once.
+    """
     records: list[tuple[int, LogRecord]] = []
     off = 0
     end = len(raw)
-    last_seq = -1
+    region = end if region_bytes is None else region_bytes
     while True:
         if off + END_MARKER_BYTES > end:
-            return WalScan(records, off, last_seq, "end")
+            reason = "short" if off + END_MARKER_BYTES <= region else "end"
+            return WalScan(records, off, last_seq, reason)
         rtype, length, seq = _FRAME.unpack_from(raw, off)
         if rtype == 0 and length == 0 and seq == 0:
             # Zero bytes: never-written (or padded) region, a clean end.
@@ -314,50 +325,61 @@ def scan_records(raw: bytes) -> WalScan:
             return WalScan(records, off, last_seq, "bad_frame")
         frame_end = off + _FRAME.size + length
         if frame_end + _CRC.size > end:
-            return WalScan(records, off, last_seq, "bad_frame")
-        frame = raw[off:frame_end]
-        (crc,) = _CRC.unpack_from(raw, frame_end)
-        if zlib.crc32(frame) != crc:
-            return WalScan(records, off, last_seq, "bad_frame")
-        try:
-            record = cls.from_payload(raw[off + _FRAME.size:frame_end])
-        except (ValueError, struct.error):
+            reason = "short" if frame_end + _CRC.size <= region \
+                else "bad_frame"
+            return WalScan(records, off, last_seq, reason)
+        record = _decode_frame(raw, off, cls, frame_end)
+        if record is None:
             return WalScan(records, off, last_seq, "bad_frame")
         records.append((seq, record))
         last_seq = seq
         off = frame_end + _CRC.size
 
 
-def find_frame_beyond(raw: bytes, start: int, min_seq: int,
-                      probe_bytes: int = 65536) -> int | None:
+def _decode_frame(raw: bytes, off: int, cls: type[LogRecord],
+                  frame_end: int) -> LogRecord | None:
+    """The record of a frame lying wholly in ``raw``; ``None`` when its
+    CRC fails or its payload does not parse."""
+    (crc,) = _CRC.unpack_from(raw, frame_end)
+    if zlib.crc32(raw[off:frame_end]) != crc:
+        return None
+    try:
+        return cls.from_payload(raw[off + _FRAME.size:frame_end])
+    except (ValueError, struct.error):
+        return None
+
+
+def find_frame_beyond(raw: bytes, start: int, min_seq: int) -> int | None:
     """Look past a damaged frame for a valid frame of the *same* pass.
 
-    Probes byte offsets in ``[start, start + probe_bytes)`` for a frame
-    whose CRC validates and whose sequence exceeds ``min_seq`` (a stale
-    frame from an earlier ring pass does not count).  Returns the offset
-    of such a frame, meaning committed records exist beyond the damage
-    and truncating at ``start`` would silently drop them; ``None`` means
-    the damage is confined to the tail and truncation is safe.
+    Such a frame may start anywhere from ``start`` to the end of
+    ``raw``.  A pass numbers its frames consecutively and a frame takes
+    at least :data:`END_MARKER_BYTES`, so its sequence lies in
+    ``(min_seq, min_seq + 1 + len(raw) // END_MARKER_BYTES]``: a regular
+    expression on a known type byte and that sequence range finds the
+    candidate headers at C speed, and each is checked like a scanned
+    frame, with a sequence above ``min_seq`` (a stale frame from an
+    earlier ring pass does not count).  Returns the offset of such a
+    frame, meaning committed records exist beyond the damage and
+    truncating at ``start`` would silently drop them; ``None`` means the
+    damage is confined to the tail and truncation is safe.
     """
-    end = len(raw)
-    limit = min(end, start + probe_bytes)
-    for off in range(start, limit):
-        if off + _FRAME.size + _CRC.size > end:
-            break
-        rtype, length, seq = _FRAME.unpack_from(raw, off)
-        cls = _RECORD_TYPES.get(rtype)
-        if cls is None or seq <= min_seq:
-            continue
+    lo = (min_seq + 1).to_bytes(8, "big")
+    hi = (min_seq + 1 + len(raw) // END_MARKER_BYTES).to_bytes(8, "big")
+    k = next((i for i in range(8) if lo[i] != hi[i]), 8)
+    seq = b"".join(b"\\x%02x" % b for b in lo[:k])
+    if k < 8:
+        seq += b"[\\x%02x-\\x%02x].{%d}" % (lo[k], hi[k], 7 - k)
+    types = b"".join(b"\\x%02x" % t for t in _RECORD_TYPES)
+    header = re.compile(b"[" + types + b"].{4}" + seq, re.DOTALL)
+    match = header.search(raw, start)
+    while match is not None:
+        off = match.start()
+        rtype, length, seq_no = _FRAME.unpack_from(raw, off)
         frame_end = off + _FRAME.size + length
-        if frame_end + _CRC.size > end:
-            continue
-        frame = raw[off:frame_end]
-        (crc,) = _CRC.unpack_from(raw, frame_end)
-        if zlib.crc32(frame) != crc:
-            continue
-        try:
-            cls.from_payload(raw[off + _FRAME.size:frame_end])
-        except (ValueError, struct.error):
-            continue
-        return off
+        if seq_no > min_seq and frame_end + _CRC.size <= len(raw) and \
+                _decode_frame(raw, off, _RECORD_TYPES[rtype],
+                              frame_end) is not None:
+            return off
+        match = header.search(raw, off + 1)
     return None

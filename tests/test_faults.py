@@ -12,6 +12,7 @@ from repro.db.errors import (
     ChecksumMismatchError,
     DeviceIOError,
     RetriesExhaustedError,
+    WalCorruptionError,
 )
 from repro.sim.cost import CostModel
 from repro.storage.device import IoRequest, SimulatedNVMe
@@ -23,6 +24,8 @@ from repro.storage.faults import (
 )
 from repro.storage.remap import RemappedDevice
 from repro.wal.records import (
+    BlobChunkRecord,
+    InsertRecord,
     TxnBeginRecord,
     TxnCommitRecord,
     find_frame_beyond,
@@ -494,6 +497,112 @@ class TestWalScan:
         # pass (seq 3 <= 6): truncation at the damage stays legal.
         assert find_frame_beyond(raw, scan.valid_bytes + 1,
                                  scan.max_seq) is None
+
+
+def probe_every_offset(raw, start, min_seq):
+    """Reference resync probe: try each offset in Python, with no probe
+    bound (frames in its images are shorter than its 4 KiB slice)."""
+    for off in range(start, len(raw)):
+        if scan_records(raw[off:off + 4096], min_seq).records:
+            return off
+    return None
+
+
+class TestResyncProbeMatchesAnOffsetLoop:
+    # Sequences whose range crosses one, two, three and four byte
+    # boundaries of the big-endian field the probe's pattern matches.
+    @pytest.mark.parametrize("first_seq", [1, 250, 65_530, (1 << 24) - 5,
+                                           (1 << 32) - 3, 0x1234_5678_9A])
+    def test_same_verdicts_on_seeded_damaged_logs(self, first_seq):
+        rng = random.Random(first_seq)
+        for _ in range(12):
+            log = b"".join(
+                InsertRecord(txn_id=seq, table="t", key=b"k",
+                             value=rng.randbytes(rng.randint(0, 300)))
+                .encode(seq)
+                for seq in range(first_seq, first_seq + rng.randint(2, 12)))
+            stale = b"".join(TxnBeginRecord(txn_id=s).encode(s)
+                             for s in range(1, rng.randint(1, 40)))
+            raw = bytearray(log + stale)
+            hit = rng.randrange(len(log))
+            if rng.random() < 0.5:
+                raw[hit] ^= 1 << rng.randrange(8)
+            else:
+                junk = rng.randbytes(rng.randint(1, 600))
+                raw[hit:hit + len(junk)] = junk
+            scan = scan_records(bytes(raw), first_seq - 1)
+            if scan.stop_reason != "bad_frame":
+                continue
+            args = (bytes(raw), scan.valid_bytes + 1, scan.max_seq)
+            assert find_frame_beyond(*args) == probe_every_offset(*args)
+
+
+class TestResyncProbePastLargeFrames:
+    """A physlog chunk frame is as large as the WAL buffer (1 MiB by
+    default): the resync probe must find a same-pass frame however far
+    past the damage it starts, or truncation drops acknowledged
+    commits."""
+
+    def _store(self, size, commit_big=True):
+        config = small_config(device_pages=4096, wal_pages=1024,
+                              buffer_pool_pages=1024, log_policy="physlog")
+        db = BlobDB(config)
+        db.create_table("t")
+        with db.transaction() as txn:
+            db.put_blob(txn, "t", b"before", b"\x07" * 3000)
+        db.wal.sync_flush()
+        big = random.Random(size).randbytes(size)
+        if commit_big:
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"big", big)
+            db.wal.sync_flush()
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"after", b"\x05" * 5000)
+        else:
+            # The crash comes right after the chunk's flush: it is the
+            # log's last frame, and its transaction never commits.
+            db.wal.append(BlobChunkRecord(txn_id=db.begin().txn_id,
+                                          table="t", key=b"big", data=big))
+        db.wal.sync_flush()
+        # Locate the frame of big's (only) chunk record.
+        off = 0
+        for seq, record in scan_records(db.device.peek(
+                config.wal_region_pid, config.wal_pages)).records:
+            frame = record.encode(seq)
+            if isinstance(record, BlobChunkRecord) and record.key == b"big":
+                assert len(record.data) == size
+                return db, config, off, len(frame)
+            off += len(frame)
+        raise AssertionError("no chunk frame for b'big'")
+
+    def _flip(self, db, config, byte_off):
+        pid = config.wal_region_pid + byte_off // config.page_size
+        page = bytearray(db.device.peek(pid, 1))
+        page[byte_off % config.page_size] ^= 0xFF
+        db.device._poke(pid, bytes(page))
+
+    # Byte 3 is the low byte of the frame's length field: the damaged
+    # header declares a wrong length, so only a search finds the next
+    # frame.  Byte 1 000 lies in the BLOB content.
+    @pytest.mark.parametrize("where", [3, 1000])
+    @pytest.mark.parametrize("size", [100_000, 200_000, 1 << 20])
+    def test_damaged_chunk_mid_log_refuses(self, size, where):
+        db, config, off, _ = self._store(size)
+        self._flip(db, config, off + where)
+        with pytest.raises(WalCorruptionError, match="same pass"):
+            BlobDB.recover(db.crash(), config)
+
+    @pytest.mark.parametrize("where", [3, 1000])
+    @pytest.mark.parametrize("size", [100_000, 200_000, 1 << 20])
+    def test_damaged_chunk_as_last_frame_truncates(self, size, where):
+        db, config, off, length = self._store(size, commit_big=False)
+        self._flip(db, config, off + where)
+        recovered = BlobDB.recover(db.crash(), config)
+        info = recovered.recovery_info
+        assert info.wal_records_truncated == 1
+        assert info.wal_corrupt_pages == 1
+        assert recovered.read_blob("t", b"before") == b"\x07" * 3000
+        assert not recovered.exists("t", b"big")
 
 
 class TestQuarantineAndScrub:

@@ -14,10 +14,17 @@ import pytest
 from repro.core import recovery
 from repro.core.recovery import VERIFY_WINDOW_PAGES, verify_states
 from repro.db import BlobDB, EngineConfig
-from repro.db.errors import DeviceIOError
-from repro.sim.cost import CostModel
+from repro.db.errors import DeviceIOError, WalCorruptionError
+from repro.sim.cost import SYSCALL_NS, CostModel
 from repro.storage.device import SimulatedNVMe
 from repro.storage.faults import FaultPlan, FaultSpec, FaultyNVMe
+from repro.wal.records import (
+    END_MARKER_BYTES,
+    InsertRecord,
+    find_frame_beyond,
+    scan_records,
+)
+from repro.wal.writer import SCAN_CHUNK_PAGES, SCAN_QUEUE_DEPTH, scan_region
 
 
 def small_config(**overrides):
@@ -548,3 +555,199 @@ class TestBatchedVerifier:
 
 PARENT_TABLE_DIGEST = \
     "a71add1ea0b36193fb521372595029b419a95ca9efe8bff819b8387e012ba83e"
+
+
+# -- the bounded WAL scan -----------------------------------------------------
+
+#: One scan window: a queue wave of chunks, the verifier's 8 MiB window.
+SCAN_WINDOW = SCAN_QUEUE_DEPTH * SCAN_CHUNK_PAGES
+PS = 4096
+WINDOW_BYTES = SCAN_WINDOW * PS
+RING = 2 * SCAN_WINDOW + 300
+RING_BYTES = RING * PS
+
+
+def ring_config(wal_pages=RING, **overrides):
+    return EngineConfig(device_pages=wal_pages + 1024, wal_pages=wal_pages,
+                        catalog_pages=64, buffer_pool_pages=512, **overrides)
+
+
+def insert_frame(seq, value):
+    return InsertRecord(txn_id=seq, table="t", key=b"k",
+                        value=value).encode(seq)
+
+
+#: Bytes of an ``InsertRecord`` frame around its value.
+FRAME_MIN = len(insert_frame(1, b""))
+#: Frame payloads and stale bytes are cut from this ring-sized noise.
+NOISE = random.Random(0).randbytes(RING_BYTES)
+
+
+def wal_image(rng, pins):
+    """A ring image whose frames end exactly at each offset in ``pins``.
+
+    Frames of 39 B to 300 KB (so some straddle a window boundary) carry
+    sequences from 1 000; the last pin is the log's end.  A zero frame
+    header follows it, then stale frames of an earlier pass (lower
+    sequences) fill the ring; a log too close to the ring's end for the
+    header is followed by stale bytes.  Returns the image and the frame
+    spans.
+    """
+    image, spans, seq = bytearray(), [], 1000
+
+    def emit(nbytes, seq):
+        pos = len(image)
+        image.extend(insert_frame(seq, NOISE[pos:pos + nbytes - FRAME_MIN]))
+        return pos
+
+    for pin in pins:
+        while pin - len(image) > 2000:
+            room = pin - len(image) - FRAME_MIN
+            nbytes = rng.randint(FRAME_MIN, min(room, rng.choice((2000,
+                                                                  300_000))))
+            spans.append((emit(nbytes, seq), len(image)))
+            seq += 1
+        spans.append((emit(pin - len(image), seq), pin))
+        seq += 1
+    if len(image) + END_MARKER_BYTES <= RING_BYTES:
+        image += bytes(END_MARKER_BYTES)
+        stale = 1
+        while len(image) < RING_BYTES:
+            emit(rng.randint(FRAME_MIN, 50_000), stale)
+            stale += 1
+    image += NOISE[len(image):]
+    return bytes(image[:RING_BYTES]), spans
+
+
+def full_region_scan(device, config):
+    """Reference: the whole ring read at once, as recovery used to."""
+    raw = device.peek(config.wal_region_pid, config.wal_pages)
+    scan = scan_records(raw)
+    beyond = None
+    if scan.stop_reason == "bad_frame":
+        beyond = find_frame_beyond(raw, scan.valid_bytes + 1, scan.max_seq)
+    return scan, beyond is not None
+
+
+def flip(device, config, byte_off):
+    pid = config.wal_region_pid + byte_off // PS
+    page = bytearray(device.peek(pid, 1))
+    page[byte_off % PS] ^= 0xFF
+    device._poke(pid, bytes(page))
+
+
+#: Where the log ends (the last offset) and where frames must end, in
+#: bytes: in the first window, at a window boundary ±17 bytes (the end
+#: marker's size) with the log ending or going on, across two
+#: boundaries, and filling the ring.
+ORACLE_LOGS = {
+    "first_window": [100_000],
+    **{f"end_at_boundary{d:+d}": [WINDOW_BYTES + d]
+       for d in (-18, -17, -16, -1, 0, 1, 17)},
+    **{f"frame_at_boundary{d:+d}": [WINDOW_BYTES + d, WINDOW_BYTES + 400_000]
+       for d in (-17, -16, -1, 0, 1)},
+    "straddles_two_boundaries": [
+        WINDOW_BYTES - 150_000, WINDOW_BYTES + 150_000,
+        2 * WINDOW_BYTES - 100, 2 * WINDOW_BYTES + 250_000,
+        2 * WINDOW_BYTES + 300_000],
+    "fills_ring_but_16_bytes": [RING_BYTES - 16],
+    "fills_ring": [RING_BYTES],
+}
+
+
+class TestBoundedWalScan:
+    """Recovery reads the ring window by window and stops at the log's
+    clean end; every verdict equals that of scanning the whole ring."""
+
+    @pytest.mark.parametrize("damage", ["none", "torn_tail", "mid_log",
+                                        "stale_past_end"])
+    @pytest.mark.parametrize("log", sorted(ORACLE_LOGS))
+    def test_equivalent_to_a_full_region_scan(self, log, damage):
+        rng = random.Random(f"{log}/{damage}")
+        config = ring_config()
+        device = SimulatedNVMe(CostModel(), capacity_pages=config.device_pages)
+        image, spans = wal_image(rng, ORACLE_LOGS[log])
+        device.write(config.wal_region_pid, image)
+        end = spans[-1][1]
+        target = None
+        if damage == "torn_tail":
+            target = rng.randrange(*spans[-1])
+        elif damage == "mid_log":
+            # The type byte of the frame holding the first window
+            # boundary (or of a middle frame): bad without reading on.
+            spot = WINDOW_BYTES if end > WINDOW_BYTES else end // 2
+            target = next(lo for lo, hi in spans if lo <= spot < hi)
+        elif damage == "stale_past_end" and \
+                end + END_MARKER_BYTES < RING_BYTES:
+            target = rng.randrange(end + END_MARKER_BYTES, RING_BYTES)
+        if target is not None:
+            flip(device, config, target)
+        reference, refuses = full_region_scan(device, config)
+
+        state = recovery.RecoveredState()
+        if refuses:
+            with pytest.raises(WalCorruptionError):
+                recovery._read_wal(device, config, device.model, state)
+        else:
+            records = recovery._read_wal(device, config, device.model,
+                                         state)
+            assert records == [r for _, r in reference.records]
+            assert state.wal_max_seq == max(reference.max_seq, 0)
+            assert state.wal_records_truncated == \
+                int(reference.stop_reason == "bad_frame")
+        if reference.stop_reason == "end":
+            windows = -(-(reference.valid_bytes + END_MARKER_BYTES)
+                        // WINDOW_BYTES)
+            assert state.wal_pages_read == min(RING, windows * SCAN_WINDOW)
+        else:
+            assert state.wal_pages_read == RING
+        assert state.wal_corrupt_pages == int(
+            target is not None and target // PS < state.wal_pages_read)
+
+    def _logged_store(self, **overrides):
+        db = BlobDB(ring_config(32768, **overrides))
+        db.create_table("t")
+        for i in range(20):
+            with db.transaction() as txn:
+                db.put_blob(txn, "t", b"k%02d" % i, bytes([i]) * 20_000)
+        db.wal.sync_flush()
+        assert db.wal._write_off < 1 << 20
+        return db
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"pmem_pages": 32768 + 256, "wal_placement": "pmem"},
+        {"stripe_devices": 2}], ids=["nvme", "pmem", "striped2"])
+    def test_short_log_on_a_large_ring_reads_one_window(self, overrides):
+        db = self._logged_store(**overrides)
+        config, wal_device = db.config, db.wal_device
+        batches = record_reads(wal_device)
+        recovered = BlobDB.recover(db.crash(), config)
+        lo, hi = config.wal_region_pid, config.wal_region_pid + 32768
+        wal_pages = sum(n for batch in batches for pid, n in batch
+                        if lo <= pid < hi)
+        assert wal_pages == SCAN_WINDOW
+        info = recovered.recovery_info
+        assert (info.wal_pages_read, info.wal_windows) == (SCAN_WINDOW, 1)
+        for i in range(20):
+            assert recovered.read_blob("t", b"k%02d" % i) == \
+                bytes([i]) * 20_000
+
+    def test_a_full_multi_window_ring_costs_one_latency_per_extra_window(
+            self):
+        config = ring_config()
+        model = CostModel()
+        device = SimulatedNVMe(model, capacity_pages=config.device_pages)
+        device.write(config.wal_region_pid,
+                     wal_image(random.Random(3), [RING_BYTES])[0])
+        before = model.clock.now_ns
+        scan_region(device, model, config.wal_region_pid, RING)
+        device.verify_range(config.wal_region_pid, RING)
+        full = model.clock.now_ns - before
+        before = model.clock.now_ns
+        state = recovery.RecoveredState()
+        recovery._read_wal(device, config, model, state)
+        bounded = model.clock.now_ns - before
+        assert state.wal_windows == 3
+        extra = model.params.ssd_read_latency_ns + SYSCALL_NS["io_submit"] \
+            + SYSCALL_NS["io_getevents"]
+        assert full < bounded <= full + 2 * extra
