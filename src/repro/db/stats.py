@@ -145,10 +145,11 @@ class EngineReport:
     def accumulate(self, other: "EngineReport") -> None:
         """Fold one member engine's raw counters into this aggregate.
 
-        Used by the sharded and replicated engines, whose reports sum
-        the per-member engines.  Only *summable raw counters* are
-        folded (plus max-style gauges like WAL pressure); ratios must be
-        recomputed by the caller from the summed raws, never averaged.
+        Used by replica groups and their router, whose reports sum the
+        member engines (and, one level up, the groups).  Only *summable
+        raw counters* are folded (plus max-style gauges like WAL
+        pressure); ratios are recomputed from the summed raws by
+        :meth:`recompute_ratios`, never averaged.
         """
         self.pool_used_pages += other.pool_used_pages
         self.pool_capacity_pages += other.pool_capacity_pages
@@ -208,6 +209,37 @@ class EngineReport:
         self.ns_nodes += other.ns_nodes
         self.ns_range_scans += other.ns_range_scans
         self.ns_renumbers += other.ns_renumbers
+        self.replica_groups += other.replica_groups
+        self.replica_members += other.replica_members
+        self.replica_quorum = max(self.replica_quorum, other.replica_quorum)
+        self.replica_epoch = max(self.replica_epoch, other.replica_epoch)
+        self.replica_acked_writes += other.replica_acked_writes
+        self.replica_records_shipped += other.replica_records_shipped
+        self.replica_ship_retries += other.replica_ship_retries
+        self.replica_failovers += other.replica_failovers
+        self.replica_rejoins += other.replica_rejoins
+        self.replica_fenced_ships += other.replica_fenced_ships
+        self.replica_truncated_records += other.replica_truncated_records
+        self.replica_max_lag_records = max(self.replica_max_lag_records,
+                                           other.replica_max_lag_records)
+        self.replica_stale_reads += other.replica_stale_reads
+
+    def recompute_ratios(self, engines) -> None:
+        """Set the ratios of an aggregate from the engines' summed raws.
+
+        The counterpart of :meth:`accumulate`, which never averages: the
+        pool hit and I/O coalesce ratios come from summed counters, the
+        allocator utilization is the mean over ``engines``.
+        """
+        hits = sum(db.pool.stats.hits for db in engines)
+        misses = sum(db.pool.stats.misses for db in engines)
+        self.pool_hit_ratio = hits / (hits + misses) if hits + misses else 0.0
+        if self.io_requests_in:
+            self.io_coalesce_ratio = \
+                (self.io_requests_in - self.io_requests_out) \
+                / self.io_requests_in
+        utils = [db.allocator.utilization() for db in engines]
+        self.allocator_utilization = sum(utils) / len(utils) if utils else 0.0
 
     def format(self) -> str:
         """Human-readable multi-line summary."""

@@ -14,14 +14,13 @@ the engine:
 * zero-serialization reads on shared-memory transports: like the
   engine's local aliasing path, the response hands the client a view
   instead of a wire copy;
-* :class:`ShardedBlobServer` — scatter-gather front end fanning one
-  request out to per-shard backends over per-shard transports, with
-  per-shard partial-failure retry and makespan-priced latency;
-* :class:`ReplicatedBlobServer` — the same front end over *replica
-  groups*: each sub-batch quorum-commits inside its group (WAL
-  shipping, failover and all), lost client sub-exchanges are retried
-  per group, and ``any_replica`` reads rotate over group members with
-  staleness accounting.
+* :class:`ReplicatedBlobServer` — the one scatter-gather front end: a
+  request fans out to the router's replica groups over per-group
+  transports, each sub-batch commits inside its group (quorum, WAL
+  shipping and failover when the group has replicas; a group of one is
+  a plain shard), lost client sub-exchanges are retried per group,
+  latency is the makespan, and ``any_replica`` reads rotate over group
+  members with staleness accounting.
 
 The ablation bench (``benchmarks/test_ablation_network.py``) shows the
 paper's narrative end to end: TCP costs client/server engines their
@@ -40,7 +39,6 @@ from repro.net.remote import (
     BlobServer,
     RemoteBlobStore,
     ReplicatedBlobServer,
-    ShardedBlobServer,
 )
 
 __all__ = [
@@ -52,5 +50,4 @@ __all__ = [
     "BlobServer",
     "RemoteBlobStore",
     "ReplicatedBlobServer",
-    "ShardedBlobServer",
 ]

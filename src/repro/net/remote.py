@@ -11,7 +11,8 @@ from repro.db.errors import (
     RemoteProtocolError,
     TransientNetworkError,
 )
-from repro.net.transport import TransportProfile
+from repro.net.transport import TransportProfile, one_per
+from repro.storage.faults import RetryPolicy
 
 
 @dataclass
@@ -19,6 +20,24 @@ class ServerStats:
     requests: int = 0
     bytes_in: int = 0
     bytes_out: int = 0
+
+
+def _traced(obs, name: str, transport: str, op):
+    """Run ``op()`` as one traced ``net.rpc`` round trip."""
+    if obs is None:
+        return op()
+    obs.begin("net.rpc")
+    try:
+        return op()
+    finally:
+        obs.end(op=name, transport=transport)
+        obs.count("net.roundtrips", op=name)
+
+
+def view_bytes(db: BlobDB, table: str, key: bytes) -> bytes:
+    """A BLOB's bytes served from its aliasing view, without a copy."""
+    with db.read_blob_view(table, key) as view:
+        return view.contiguous()
 
 
 class BlobServer:
@@ -70,13 +89,8 @@ class BlobServer:
         the single materializing copy, like the local read path.
         """
         self._enter(self._guard(lambda: len(key)))
-
-        def run() -> bytes:
-            if zero_copy:
-                with self.db.read_blob_view(self.table, key) as view:
-                    return view.contiguous()
-            return self.db.read_blob(self.table, key)
-        data = self._guard(run)
+        read = view_bytes if zero_copy else BlobDB.read_blob
+        data = self._guard(lambda: read(self.db, self.table, key))
         self._exit(len(data))
         return data
 
@@ -140,15 +154,8 @@ class RemoteBlobStore:
         ``net.rpc`` round trip.
         """
         def attempt():
-            obs = self.model.obs
-            if obs is None:
-                return self._attempt_body(op)
-            obs.begin("net.rpc")
-            try:
-                return self._attempt_body(op)
-            finally:
-                obs.end(op=name, transport=self.transport.name)
-                obs.count("net.roundtrips", op=name)
+            return _traced(self.model.obs, name, self.transport.name,
+                           lambda: self._attempt_body(op))
         if self.retry is not None:
             return self.retry.run(attempt)
         return attempt()
@@ -200,182 +207,20 @@ class RemoteBlobStore:
             return False
 
 
-class ShardedBlobServer:
-    """Scatter-gather protocol front end over per-shard backends.
-
-    One client request fans out as one *batched* exchange per touched
-    shard: each sub-batch rides its shard's
-    :class:`~repro.net.transport.TransportProfile` and executes against
-    that shard's :class:`BlobServer` on the shard's own clock.  The
-    client-observed latency is the makespan over the shard exchanges
-    plus the router's fan-out charge — network scatter-gather priced
-    exactly like the local :class:`~repro.shard.sharded.ShardedBlobDB`.
-
-    Partial failure is per shard: a drawn :class:`TransientNetworkError`
-    loses one shard's sub-batch *in flight* (that backend never executes
-    it) and the per-shard retry policy re-issues only that sub-batch —
-    completed work on the other shards stands.  Re-issuing is safe
-    because puts are upserts and a lost request was never executed.
-    """
-
-    def __init__(self, sdb, transports, fault_plan=None,
-                 retry_attempts: int = 0,
-                 retry_base_ns: float = 50_000.0) -> None:
-        self.sdb = sdb
-        self.router = sdb.router
-        self.model = sdb.model  # router clock: what the client observes
-        self.backends = [BlobServer(shard, table=sdb.table)
-                         for shard in sdb.shards]
-        if isinstance(transports, TransportProfile):
-            transports = [transports] * len(self.backends)
-        self.transports = list(transports)
-        if len(self.transports) != len(self.backends):
-            raise ValueError(
-                f"need one transport per shard: got {len(self.transports)} "
-                f"for {len(self.backends)} shards")
-        #: Optional FaultPlan: each sub-batch exchange may lose its
-        #: request in flight before the shard's backend sees it.
-        self.fault_plan = fault_plan
-        if retry_attempts > 0:
-            from repro.storage.faults import RetryPolicy
-            # One policy per shard, bound to that shard's model, so the
-            # retry backoff is simulated inside the shard's sub-batch
-            # time and therefore inside the makespan.
-            self.retries = [RetryPolicy(b.db.model,
-                                        attempts=retry_attempts,
-                                        base_delay_ns=retry_base_ns)
-                            for b in self.backends]
-        else:
-            self.retries = [None] * len(self.backends)
-
-    @property
-    def stats(self) -> ServerStats:
-        """Aggregate request/byte accounting across every backend."""
-        total = ServerStats()
-        for backend in self.backends:
-            total.requests += backend.stats.requests
-            total.bytes_in += backend.stats.bytes_in
-            total.bytes_out += backend.stats.bytes_out
-        return total
-
-    # -- scatter-gather plumbing ----------------------------------------
-
-    def _attempt(self, shard_id: int, op):
-        """One sub-batch exchange with loss drawing and per-shard retry."""
-        def attempt():
-            if self.fault_plan is not None and \
-                    self.fault_plan.draw_network_fault():
-                raise TransientNetworkError(
-                    f"sub-batch to shard {shard_id} lost in flight")
-            obs = self.backends[shard_id].db.model.obs
-            if obs is None:
-                return op()
-            obs.begin("net.rpc")
-            try:
-                return op()
-            finally:
-                obs.end(op="shard_batch",
-                        transport=self.transports[shard_id].name)
-                obs.count("net.roundtrips", op="shard_batch")
-        retry = self.retries[shard_id]
-        if retry is not None:
-            return retry.run(attempt)
-        return attempt()
-
-    def _gather(self, parts: dict, run_one) -> None:
-        """Run one exchange per touched shard; advance by the makespan."""
-        self.router.charge_fanout(len(parts))
-        makespan = 0.0
-        for shard_id in sorted(parts):
-            model = self.backends[shard_id].db.model
-            start_ns = model.clock.now_ns
-            self._attempt(shard_id,
-                          lambda: run_one(shard_id, parts[shard_id]))
-            makespan = max(makespan, model.clock.now_ns - start_ns)
-        self.model.clock.advance(makespan)
-
-    # -- batched operations ----------------------------------------------
-
-    def multiput(self, items: list[tuple[bytes, bytes]]) -> None:
-        items = list(items)
-        parts = self.router.partition([key for key, _ in items])
-
-        def run(shard_id: int, sub) -> None:
-            backend = self.backends[shard_id]
-            request_bytes = 0
-            for pos, key in sub:
-                backend.handle_put(key, items[pos][1])
-                request_bytes += len(key) + len(items[pos][1])
-            self.transports[shard_id].charge_exchange(
-                backend.db.model, request_bytes, 16 * len(sub))
-        self._gather(parts, run)
-
-    def multiget(self, keys: list[bytes]) -> list[bytes]:
-        keys = list(keys)
-        parts = self.router.partition(keys)
-        results: list[bytes | None] = [None] * len(keys)
-
-        def run(shard_id: int, sub) -> None:
-            backend = self.backends[shard_id]
-            transport = self.transports[shard_id]
-            model = backend.db.model
-            zero_copy = transport.zero_copy_responses
-            wire_bytes = 0
-            for pos, key in sub:
-                data = backend.handle_get(key, zero_copy=zero_copy)
-                results[pos] = data
-                if zero_copy:
-                    # Client materializes its copy from the shared view.
-                    model.memcpy(len(data))
-                else:
-                    wire_bytes += len(data)
-            transport.charge_exchange(
-                model, sum(len(key) for _, key in sub), wire_bytes)
-        self._gather(parts, run)
-        return results  # type: ignore[return-value]
-
-    # -- single-key operations (one-element sub-batches) -------------------
-
-    def put(self, key: bytes, data: bytes) -> None:
-        self.multiput([(key, data)])
-
-    def get(self, key: bytes) -> bytes:
-        return self.multiget([key])[0]
-
-    def delete(self, key: bytes) -> None:
-        parts = self.router.partition([key])
-
-        def run(shard_id: int, sub) -> None:
-            backend = self.backends[shard_id]
-            for _, k in sub:
-                backend.handle_delete(k)
-            self.transports[shard_id].charge_exchange(
-                backend.db.model, len(key), 16)
-        self._gather(parts, run)
-
-    def stat(self, key: bytes) -> int:
-        parts = self.router.partition([key])
-        out: list[int] = []
-
-        def run(shard_id: int, sub) -> None:
-            backend = self.backends[shard_id]
-            for _, k in sub:
-                out.append(backend.handle_stat(k))
-            self.transports[shard_id].charge_exchange(
-                backend.db.model, len(key), 16)
-        self._gather(parts, run)
-        return out[0]
-
-
 class ReplicatedBlobServer:
-    """Scatter-gather protocol front end over replica groups.
+    """Scatter-gather protocol front end over a router's replica groups.
 
-    The replicated sibling of :class:`ShardedBlobServer`: one client
-    request fans out as one batched exchange per touched *group*, and
-    each sub-batch executes against that group's primary — quorum
-    commit, WAL shipping, and any failover included — on the group's
-    own coordinator clock.  Client-observed latency is the makespan
-    over the group exchanges plus the router's fan-out charge.
+    One client request fans out as one batched exchange per touched
+    *group* over that group's :class:`TransportProfile`, and each
+    sub-batch executes against the group's primary — quorum commit, WAL
+    shipping and any failover included — on the group's own coordinator
+    clock.  Client-observed latency is the makespan over the group
+    exchanges plus the router's fan-out charge
+    (:meth:`~repro.shard.router.ShardRouter.gather`).  Groups of one
+    (``n_replicas=0``) make this the plain sharded server.  On
+    transports with ``zero_copy_responses`` a GET is served from the
+    primary's aliasing view and the client pays the one materializing
+    copy.
 
     Partial failure has two independent layers: a drawn
     :class:`TransientNetworkError` loses one group's *client*
@@ -387,7 +232,9 @@ class ReplicatedBlobServer:
     because puts are upserts and a lost request was never executed;
     a :class:`~repro.db.errors.QuorumLostError` is *not* retried here —
     it means the group accepted the request and could not acknowledge
-    it, which the client must observe.
+    it, which the client must observe.  A malformed request (a key that
+    is not ``bytes``, a payload that is not bytes-like) raises
+    :class:`RemoteProtocolError` before anything is routed or charged.
     """
 
     def __init__(self, rdb, transports, fault_plan=None,
@@ -397,26 +244,29 @@ class ReplicatedBlobServer:
         self.router = rdb.router
         self.model = rdb.model  # router clock: what the client observes
         self.groups = rdb.groups
-        if isinstance(transports, TransportProfile):
-            transports = [transports] * len(self.groups)
-        self.transports = list(transports)
-        if len(self.transports) != len(self.groups):
-            raise ValueError(
-                f"need one transport per group: got {len(self.transports)} "
-                f"for {len(self.groups)} groups")
+        self.transports = one_per(transports, len(self.groups), "group")
+        #: Optional FaultPlan: each sub-batch exchange may lose its
+        #: request in flight before the group sees it.
         self.fault_plan = fault_plan
         self.stats = ServerStats()
-        if retry_attempts > 0:
-            from repro.storage.faults import RetryPolicy
-            # Bound to each group's coordinator model so retry backoff
-            # lands inside that group's sub-batch time (the makespan).
-            self.retries = [RetryPolicy(g.model, attempts=retry_attempts,
-                                        base_delay_ns=retry_base_ns)
-                            for g in self.groups]
-        else:
-            self.retries = [None] * len(self.groups)
+        # Bound to each group's coordinator model so retry backoff
+        # lands inside that group's sub-batch time (the makespan).
+        self.retries = [RetryPolicy(g.model, attempts=retry_attempts,
+                                    base_delay_ns=retry_base_ns)
+                        if retry_attempts > 0 else None
+                        for g in self.groups]
 
     # -- scatter-gather plumbing ----------------------------------------
+
+    @staticmethod
+    def _check(keys, payloads=()) -> None:
+        """Refuse a malformed request before it is routed or charged."""
+        for key in keys:
+            if not isinstance(key, bytes):
+                raise RemoteProtocolError("malformed request: key not bytes")
+        for data in payloads:
+            if not isinstance(data, (bytes, bytearray, memoryview)):
+                raise RemoteProtocolError("malformed request: bad payload")
 
     def _attempt(self, group_id: int, op):
         """One sub-batch exchange with loss drawing and per-group retry."""
@@ -425,18 +275,10 @@ class ReplicatedBlobServer:
                     self.fault_plan.draw_network_fault():
                 raise TransientNetworkError(
                     f"sub-batch to group {group_id} lost in flight")
-            group = self.groups[group_id]
-            group.model.rpc_dispatch()
-            obs = group.model.obs
-            if obs is None:
-                return op()
-            obs.begin("net.rpc")
-            try:
-                return op()
-            finally:
-                obs.end(op="group_batch",
-                        transport=self.transports[group_id].name)
-                obs.count("net.roundtrips", op="group_batch")
+            model = self.groups[group_id].model
+            model.rpc_dispatch()
+            return _traced(model.obs, "group_batch",
+                           self.transports[group_id].name, op)
         retry = self.retries[group_id]
         if retry is not None:
             return retry.run(attempt)
@@ -444,22 +286,27 @@ class ReplicatedBlobServer:
 
     def _gather(self, parts: dict, run_one) -> None:
         """Run one exchange per touched group; advance by the makespan."""
-        self.router.charge_fanout(len(parts))
-        makespan = 0.0
-        for group_id in sorted(parts):
-            model = self.groups[group_id].model
-            start_ns = model.clock.now_ns
+        def run(group_id: int) -> None:
             self._attempt(group_id,
                           lambda: run_one(group_id, parts[group_id]))
-            makespan = max(makespan, model.clock.now_ns - start_ns)
             self.stats.requests += 1
-        self.model.clock.advance(makespan)
+        self.router.gather(
+            parts, lambda gid: self.groups[gid].model.clock, run)
+
+    def _exchange(self, group_id: int, request_bytes: int,
+                  response_bytes: int) -> None:
+        """Price one sub-batch's wire exchange and count its bytes."""
+        self.transports[group_id].charge_exchange(
+            self.groups[group_id].model, request_bytes, response_bytes)
+        self.stats.bytes_in += request_bytes
+        self.stats.bytes_out += response_bytes
 
     # -- batched operations ----------------------------------------------
 
     def multiput(self, items: list[tuple[bytes, bytes]]) -> None:
-        """Quorum-commit a batch: each group acks its own sub-batch."""
+        """Quorum-commit a batch: each key is its own group commit."""
         items = list(items)
+        self._check([key for key, _ in items], [data for _, data in items])
         parts = self.router.partition([key for key, _ in items])
 
         def run(group_id: int, sub) -> None:
@@ -468,10 +315,7 @@ class ReplicatedBlobServer:
             for pos, key in sub:
                 group.put(key, items[pos][1])
                 request_bytes += len(key) + len(items[pos][1])
-            self.transports[group_id].charge_exchange(
-                group.model, request_bytes, 16 * len(sub))
-            self.stats.bytes_in += request_bytes
-            self.stats.bytes_out += 16 * len(sub)
+            self._exchange(group_id, request_bytes, 16 * len(sub))
         self._gather(parts, run)
 
     def multiget(self, keys: list[bytes],
@@ -479,21 +323,26 @@ class ReplicatedBlobServer:
         """Read a batch; ``any_replica`` rotates over each group's
         members (staleness-accounted) instead of pinning the primary."""
         keys = list(keys)
+        self._check(keys)
         parts = self.router.partition(keys)
         results: list[bytes | None] = [None] * len(keys)
 
         def run(group_id: int, sub) -> None:
             group = self.groups[group_id]
+            zero_copy = self.transports[group_id].zero_copy_responses \
+                and not any_replica
             wire_bytes = 0
             for pos, key in sub:
                 data = group.read_any(key) if any_replica \
-                    else group.get(key)
+                    else group.get(key, zero_copy=zero_copy)
                 results[pos] = data
-                wire_bytes += len(data)
-            self.transports[group_id].charge_exchange(
-                group.model, sum(len(key) for _, key in sub), wire_bytes)
-            self.stats.bytes_in += sum(len(key) for _, key in sub)
-            self.stats.bytes_out += wire_bytes
+                if zero_copy:
+                    # Client materializes its copy from the shared view.
+                    group.model.memcpy(len(data))
+                else:
+                    wire_bytes += len(data)
+            self._exchange(group_id, sum(len(key) for _, key in sub),
+                           wire_bytes)
         self._gather(parts, run)
         return results  # type: ignore[return-value]
 
@@ -508,13 +357,19 @@ class ReplicatedBlobServer:
     def read_any(self, key: bytes) -> bytes:
         return self.multiget([key], any_replica=True)[0]
 
-    def delete(self, key: bytes) -> None:
-        parts = self.router.partition([key])
+    def _on_owner(self, key: bytes, op):
+        """``op(group)`` on ``key``'s group, a 16-byte-response exchange."""
+        self._check([key])
+        out = []
 
         def run(group_id: int, sub) -> None:
-            group = self.groups[group_id]
-            for _, k in sub:
-                group.delete(k)
-            self.transports[group_id].charge_exchange(
-                group.model, len(key), 16)
-        self._gather(parts, run)
+            out.append(op(self.groups[group_id]))
+            self._exchange(group_id, len(key), 16)
+        self._gather(self.router.partition([key]), run)
+        return out[0]
+
+    def delete(self, key: bytes) -> None:
+        self._on_owner(key, lambda group: group.delete(key))
+
+    def stat(self, key: bytes) -> int:
+        return self._on_owner(key, lambda group: group.stat(key))

@@ -64,3 +64,15 @@ RDMA = TransportProfile(
 SHARED_MEMORY = TransportProfile(
     name="shm", roundtrip_ns=600.0, wire_ns_per_byte=0.0625,
     serialize_ns_per_byte=0.0, zero_copy_responses=True)
+
+
+def one_per(transports, n: int, what: str) -> list[TransportProfile]:
+    """One profile per ``what``: a single profile is shared by all ``n``,
+    a list must hold exactly ``n``."""
+    if isinstance(transports, TransportProfile):
+        return [transports] * n
+    transports = list(transports)
+    if len(transports) != n:
+        raise ValueError(f"need one transport per {what}: got "
+                         f"{len(transports)} for {n} {what}s")
+    return transports

@@ -1,10 +1,12 @@
-"""Replicated shard groups: WAL shipping, quorum commit, failover.
+"""Replica groups and the one topology class that routes over them.
 
-Promotes the engine's shards to replica groups — ``1 primary + N
-replicas`` each, every member a complete engine on its own virtual
-clock — with quorum-priced commits, per-link fault injection, read
-fan-out with staleness accounting, and deterministic epoch-fenced
-failover.  See ``docs/replication.md``.
+A shard is a replica group — ``1 primary + N replicas``, every member a
+complete engine on its own virtual clock — with quorum-priced commits,
+per-link fault injection, read fan-out with staleness accounting, and
+deterministic epoch-fenced failover.  :class:`ReplicatedShardedBlobDB`
+hash-routes keys over N groups; with ``n_replicas=0, quorum=1`` it is
+the unreplicated sharded engine.  See ``docs/replication.md`` and
+``docs/sharding.md``.
 """
 
 from repro.replica.group import GroupStats, ReplicaGroup, ReplicaMember

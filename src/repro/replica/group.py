@@ -11,14 +11,16 @@ replica over that member's own
 acknowledged only once a configurable *quorum* of members (primary
 included) has durably applied it.
 
-Pricing follows PR 5's scatter-gather discipline one level up: each
-replica applies its records on its **own** clock, and the group clock —
-what the client observes — advances by the primary's local time plus
-the *quorum makespan*: the ``(quorum - 1)``-th smallest per-replica
+Pricing follows the router's scatter-gather discipline one level down:
+each replica applies its records on its **own** clock, and the group
+clock — what the client observes — advances by the primary's local time
+plus the *quorum makespan*: the ``(quorum - 1)``-th smallest per-replica
 clock delta.  ``quorum=1`` is asynchronous replication (the client
 never waits for a link), ``quorum=N+1`` is fully synchronous (the
 slowest member gates every commit), and anything between prices exactly
-the partial wait a real quorum protocol buys.
+the partial wait a real quorum protocol buys.  A group of one
+(``n_replicas=0``) has no quorum to decide and prices exactly like the
+bare engine: it is how the router runs an unreplicated shard.
 
 Failure handling, all driven by seeded :class:`FaultPlan` draws:
 
@@ -53,7 +55,8 @@ from repro.db.errors import (
     TransientNetworkError,
 )
 from repro.db.stats import EngineReport
-from repro.net.transport import TCP_ETHERNET, TransportProfile
+from repro.net.remote import view_bytes
+from repro.net.transport import TCP_ETHERNET, TransportProfile, one_per
 from repro.replica.record import ACK_BYTES, ReplicationRecord
 from repro.sim.cost import CostModel
 from repro.storage.faults import FaultPlanFactory, FaultyNVMe, RetryPolicy
@@ -82,37 +85,31 @@ class GroupStats:
 class ReplicaMember:
     """One member of a replica group: a full engine plus its link state."""
 
-    def __init__(self, member_id: int, config: EngineConfig,
-                 model: CostModel, table: str,
-                 transport: TransportProfile,
-                 device_plan=None, link_plan=None,
+    def __init__(self, member_id: int, db: BlobDB, table: str,
+                 transport: TransportProfile, link_plan=None,
                  retry_attempts: int = 4,
                  retry_base_ns: float = 50_000.0) -> None:
         self.member_id = member_id
-        self.model = model
-        storage = build_storage(config, model)
-        if device_plan is not None:
-            # Wrap every distinct device of the member's placement —
-            # PMem/stripe tiers fault independently, aliases stay shared.
-            storage = storage.map(lambda dev: FaultyNVMe(dev, device_plan))
-        self.db: BlobDB | None = BlobDB(config=config, device=storage,
-                                        model=model)
-        self.db.create_table(table)
+        self.model = db.model
+        self.db: BlobDB | None = db
         self.table = table
         self.transport = transport
         self.link_plan = link_plan
         #: Bound to this member's model so retry backoff is simulated
         #: inside the member's clock delta — and therefore inside the
-        #: quorum makespan, exactly like the sharded server's retries.
-        self.retry = RetryPolicy(model, attempts=retry_attempts,
+        #: quorum makespan, exactly like the server's per-group retries.
+        self.retry = RetryPolicy(self.model, attempts=retry_attempts,
                                  base_delay_ns=retry_base_ns)
         #: Highest replication LSN durably applied by this member.
         self.applied_lsn = 0
         #: Primary term this member has accepted (fencing floor).
         self.epoch = 1
-        #: Records applied, in LSN order (the member's view of the
-        #: stream; the current primary's list is authoritative).
+        #: Records applied that some live member has not, in LSN order
+        #: from ``history_base + 1`` (the member's view of the stream;
+        #: the current primary's list is authoritative).
         self.history: list[ReplicationRecord] = []
+        #: LSN of the last record dropped from the front of ``history``.
+        self.history_base = 0
         self.alive = True
         #: Surviving device of a crashed member (for recovery on rejoin).
         self.device = None
@@ -122,23 +119,29 @@ class ReplicaMember:
     def lag(self, primary_lsn: int) -> int:
         return max(0, primary_lsn - self.applied_lsn)
 
-    def apply(self, record: ReplicationRecord) -> None:
-        """Durably apply one record to this member's engine, in order."""
-        assert self.db is not None
-        if record.lsn != self.applied_lsn + 1:
+    def apply(self, *records: ReplicationRecord) -> None:
+        """Durably apply consecutive records in one engine transaction.
+
+        All or nothing: a delete of a missing key raises
+        :class:`~repro.db.errors.KeyNotFoundError` and nothing applies.
+        """
+        db, table = self.db, self.table
+        assert db is not None
+        if records[0].lsn != self.applied_lsn + 1:
             raise AssertionError(
                 f"member {self.member_id}: stream gap "
-                f"(applied {self.applied_lsn}, got {record.lsn})")
-        with self.db.transaction() as txn:
-            if record.op == "put":
-                if self.db.exists(self.table, record.key):
-                    self.db.delete_blob(txn, self.table, record.key)
-                assert record.payload is not None
-                self.db.put_blob(txn, self.table, record.key, record.payload)
-            elif self.db.exists(self.table, record.key):
-                self.db.delete_blob(txn, self.table, record.key)
-        self.applied_lsn = record.lsn
-        self.history.append(record)
+                f"(applied {self.applied_lsn}, got {records[0].lsn})")
+        with db.transaction() as txn:
+            for record in records:
+                if record.op == "put":
+                    if db.exists(table, record.key):
+                        db.delete_blob(txn, table, record.key)
+                    assert record.payload is not None
+                    db.put_blob(txn, table, record.key, record.payload)
+                else:
+                    db.delete_blob(txn, table, record.key)
+        self.applied_lsn = records[-1].lsn
+        self.history.extend(records)
 
 
 class ReplicaGroup:
@@ -169,23 +172,15 @@ class ReplicaGroup:
         self.name = name
         self.quorum = quorum
         self.auto_failover = auto_failover
-        if isinstance(transport, TransportProfile):
-            transports = [transport] * n_members
-        else:
-            transports = list(transport)
-            if len(transports) != n_members:
-                raise ValueError(
-                    f"need one transport per member: got {len(transports)} "
-                    f"for {n_members} members")
+        transports = one_per(transport, n_members, "member")
         # Each member runs on its own clock but shares the coordinator's
         # price list; fault plans are derived per member from one base
         # seed, so the whole group replays from (code, seed).
         self.members = [
             ReplicaMember(
-                i, self.config, CostModel(self.model.params), table,
-                transports[i],
-                device_plan=(device_faults.plan_for(f"{name}.m{i}.device")
-                             if device_faults is not None else None),
+                i, self._engine(device_faults.plan_for(f"{name}.m{i}.device")
+                                if device_faults is not None else None),
+                table, transports[i],
                 link_plan=(link_faults.plan_for(f"{name}.m{i}.link")
                            if link_faults is not None else None),
                 retry_attempts=retry_attempts,
@@ -202,6 +197,21 @@ class ReplicaGroup:
         self.fence_lsn = 0
         self.stats = GroupStats()
 
+    def _engine(self, device_plan) -> BlobDB:
+        """A member's engine on its own clock and the group's price list.
+
+        With ``device_plan``, every distinct device of the placement is
+        fault-wrapped: PMem/stripe tiers fault independently, aliases
+        stay shared.
+        """
+        model = CostModel(self.model.params)
+        storage = build_storage(self.config, model)
+        if device_plan is not None:
+            storage = storage.map(lambda dev: FaultyNVMe(dev, device_plan))
+        db = BlobDB(config=self.config, device=storage, model=model)
+        db.create_table(self.table)
+        return db
+
     # -- membership helpers --------------------------------------------------
 
     @property
@@ -211,6 +221,11 @@ class ReplicaGroup:
     def replicas(self) -> list[ReplicaMember]:
         """Non-primary members, in member-id order (determinism)."""
         return [m for m in self.members if m.member_id != self.primary_id]
+
+    def engines(self) -> list[BlobDB]:
+        """The live members' engines, in member-id order."""
+        return [m.db for m in self.members
+                if m.alive and m.db is not None]
 
     def ship_retries(self) -> int:
         return sum(m.retry.stats.retries for m in self.members)
@@ -258,7 +273,8 @@ class ReplicaGroup:
                     f"(its epoch is {member.epoch})")
             member.epoch = max(member.epoch, src_epoch)
             while member.applied_lsn < upto_lsn:
-                record = primary.history[member.applied_lsn]
+                record = primary.history[member.applied_lsn
+                                         - primary.history_base]
                 member.transport.charge_exchange(
                     member.model, record.wire_bytes(), ACK_BYTES)
                 member.apply(record)
@@ -275,17 +291,37 @@ class ReplicaGroup:
                         member.lag(self.primary.applied_lsn))
         return True
 
+    def _trim_history(self) -> None:
+        """Forget the records every live member has applied.
+
+        Nothing replays them again: a lagging live member catches up
+        from the primary's history, a crashed one rejoins by comparing
+        state, not by replay.
+        """
+        floor = min([m.applied_lsn for m in self.members if m.alive])
+        for member in self.members:
+            if member.alive and member.history_base < floor:
+                del member.history[:floor - member.history_base]
+                member.history_base = floor
+
     # -- the write path ------------------------------------------------------
 
     def put(self, key: bytes, data: bytes) -> None:
-        self._commit("put", key, data)
+        self._commit([("put", key, data)])
 
     def delete(self, key: bytes) -> None:
-        self._commit("delete", key, None)
+        self._commit([("delete", key, None)])
 
-    def _commit(self, op: str, key: bytes, payload: bytes | None,
-                _failed_over: bool = False) -> None:
-        """Execute on the primary, ship, and wait for the quorum.
+    def multiput(self, items: list[tuple[bytes, bytes]]) -> None:
+        """Commit a batch in one primary transaction and one quorum
+        wait: the batch is atomic on the primary, like a bare engine's
+        transaction."""
+        if items:
+            self._commit([("put", key, data) for key, data in items])
+
+    def _commit(self, ops: list[tuple], _failed_over: bool = False) -> None:
+        """Execute ``(op, key, payload)`` ops on the primary in one
+        transaction, ship them, and wait for the quorum once.
 
         The group clock advances by the primary's local commit time plus
         the quorum makespan — the ``(quorum - 1)``-th smallest successful
@@ -297,49 +333,53 @@ class ReplicaGroup:
         """
         primary = self.primary
         if not primary.alive:
-            self._handle_quorum_loss(op, key, payload, _failed_over,
+            self._handle_quorum_loss(ops, _failed_over,
                                      reason="primary down")
             return
         start_primary = primary.model.clock.now_ns
-        record = ReplicationRecord(lsn=primary.applied_lsn + 1,
-                                   epoch=self.epoch, op=op, key=key,
-                                   payload=payload)
-        primary.apply(record)
+        records = [ReplicationRecord(lsn=primary.applied_lsn + i,
+                                     epoch=self.epoch, op=op, key=key,
+                                     payload=payload)
+                   for i, (op, key, payload) in enumerate(ops, 1)]
+        primary.apply(*records)
         primary_delta = primary.model.clock.now_ns - start_primary
+        lsn = records[-1].lsn
 
         replicas = [m for m in self.replicas() if m.alive]
-        self.model.replica_ship(len(replicas))
+        self.model.replica_ship(len(replicas) * len(records))
         ack_deltas: list[float] = []
         for member in replicas:
             start = member.model.clock.now_ns
-            if self._ship(member, record.lsn):
+            if self._ship(member, lsn):
                 ack_deltas.append(member.model.clock.now_ns - start)
-        self.model.quorum_commit()
+        if len(self.members) > 1:
+            self.model.quorum_commit()
 
         need = self.quorum - 1
         ack_deltas.sort()
         if len(ack_deltas) < need:
             self.stats.quorum_losses += 1
-            self._handle_quorum_loss(op, key, payload, _failed_over,
+            self._handle_quorum_loss(ops, _failed_over,
                                      reason=f"{len(ack_deltas)}/{need} acks")
             return
         quorum_wait = ack_deltas[need - 1] if need else 0.0
         self.model.clock.advance(primary_delta + quorum_wait)
-        self.acked_lsn = record.lsn
-        self.stats.acked_writes += 1
+        self.acked_lsn = lsn
+        self.stats.acked_writes += len(records)
+        self._trim_history()
         obs = self.model.obs
         if obs is not None:
-            obs.count("replica.acked_writes")
+            obs.count("replica.acked_writes", len(records))
             obs.observe("replica.quorum_makespan_ns", quorum_wait)
 
-    def _handle_quorum_loss(self, op, key, payload, already_failed_over,
+    def _handle_quorum_loss(self, ops, already_failed_over,
                             reason: str) -> None:
         """Quorum lost: promote a reachable replica and retry once."""
         if already_failed_over or not self.auto_failover:
             raise QuorumLostError(
                 f"{self.name}: write not acknowledged ({reason})")
         self.failover()
-        self._commit(op, key, payload, _failed_over=True)
+        self._commit(ops, _failed_over=True)
 
     def _fence(self, src_epoch: int) -> None:
         """Authoritative-side epoch fence: reject stale-term shipments."""
@@ -350,21 +390,36 @@ class ReplicaGroup:
 
     # -- reads ----------------------------------------------------------------
 
-    def get(self, key: bytes) -> bytes:
-        """Linearizable read from the primary."""
+    def _on_primary(self, op, *args):
+        """Return ``op(primary engine, *args)``; the group clock pays."""
         primary = self.primary
         if not primary.alive:
             raise QuorumLostError(f"{self.name}: primary down")
-        assert primary.db is not None
         start = primary.model.clock.now_ns
-        data = primary.db.read_blob(self.table, key)
+        out = op(primary.db, *args)
         self.model.clock.advance(primary.model.clock.now_ns - start)
-        return data
+        return out
+
+    def get(self, key: bytes, zero_copy: bool = False) -> bytes:
+        """Linearizable read from the primary.
+
+        ``zero_copy`` serves the bytes from the primary's aliasing view
+        without a copy; the caller pays the one materializing copy.
+        """
+        return self._on_primary(view_bytes if zero_copy
+                                else BlobDB.read_blob, self.table, key)
+
+    def stat(self, key: bytes) -> int:
+        return self._on_primary(
+            lambda db: db.get_state(self.table, key).size)
+
+    def scan(self, start: bytes | None = None,
+             end: bytes | None = None) -> list[tuple[bytes, object]]:
+        return self._on_primary(
+            lambda db: list(db.scan(self.table, start, end)))
 
     def exists(self, key: bytes) -> bool:
-        primary = self.primary
-        assert primary.db is not None
-        return primary.db.exists(self.table, key)
+        return self._on_primary(lambda db: db.exists(self.table, key))
 
     def read_any(self, key: bytes) -> bytes:
         """Read from the next member in rotation, with staleness
@@ -414,14 +469,11 @@ class ReplicaGroup:
             makespan = max(makespan,
                            member.model.clock.now_ns - start)
         self.model.clock.advance(makespan)
+        self._trim_history()
 
     def drain(self) -> None:
         """Settle the primary's commit window and converge replicas."""
-        primary = self.primary
-        assert primary.db is not None
-        start = primary.model.clock.now_ns
-        primary.db.drain_commit_window()
-        self.model.clock.advance(primary.model.clock.now_ns - start)
+        self._on_primary(BlobDB.drain_commit_window)
         self.catch_up()
 
     # -- failover controller ---------------------------------------------------
@@ -452,10 +504,20 @@ class ReplicaGroup:
         primary.device = device
         primary.db = None
         primary.alive = False
+        primary.history = []
         self.stats.primary_crashes += 1
         if self.auto_failover:
             self.failover()
         return device
+
+    def restart(self, device) -> None:
+        """Re-seat a group of one on the engine recovered from ``device``
+        (WAL replay on the device's clock); replicated groups restart
+        through :meth:`crash_primary` and :meth:`rejoin` instead."""
+        assert len(self.members) == 1, "not a group of one"
+        db = BlobDB.recover(device, self.config, model=device.model)
+        self.members = [ReplicaMember(0, db, self.table,
+                                      self.primary.transport)]
 
     def failover(self) -> int:
         """Epoch-fenced promotion of the most-caught-up live replica.
@@ -492,6 +554,7 @@ class ReplicaGroup:
             self._ship(peer, new_primary.applied_lsn)
             makespan = max(makespan, peer.model.clock.now_ns - start)
         self.model.clock.advance(makespan)
+        self._trim_history()
         self.stats.failovers += 1
         self.stats.last_failover_ns = makespan
         obs = self.model.obs
@@ -574,12 +637,14 @@ class ReplicaGroup:
             else:
                 resynced += 1
         member.history = list(primary.history)
+        member.history_base = primary.history_base
         member.applied_lsn = primary.applied_lsn
         member.epoch = self.epoch
         member.partitioned_until_ns = 0.0
         self.model.clock.advance(max(
             member.model.clock.now_ns - start_member,
             primary.model.clock.now_ns - start_primary))
+        self._trim_history()
         self.stats.rejoins += 1
         self.stats.truncated_records += truncated
         self.stats.resynced_records += resynced
@@ -607,17 +672,9 @@ class ReplicaGroup:
             replica_max_lag_records=self.max_lag(),
             replica_stale_reads=self.stats.stale_reads,
         )
-        live = [m for m in self.members if m.alive and m.db is not None]
-        for member in live:
-            agg.accumulate(member.db.stats_report())
-        hits = sum(m.db.pool.stats.hits for m in live)
-        misses = sum(m.db.pool.stats.misses for m in live)
-        agg.pool_hit_ratio = hits / (hits + misses) if hits + misses else 0.0
-        if agg.io_requests_in:
-            agg.io_coalesce_ratio = \
-                (agg.io_requests_in - agg.io_requests_out) \
-                / agg.io_requests_in
-        utils = [m.db.allocator.utilization() for m in live]
-        agg.allocator_utilization = sum(utils) / len(utils) if utils else 0.0
+        engines = self.engines()
+        for db in engines:
+            agg.accumulate(db.stats_report())
+        agg.recompute_ratios(engines)
         agg.simulated_seconds = self.model.clock.now_s
         return agg

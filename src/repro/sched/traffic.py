@@ -36,12 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.hashing import new_hasher
 from repro.obs.metrics import MetricsRegistry
 from repro.sched.admission import ADMIT, QUEUE, AdmissionController
 from repro.sched.arrivals import Job, op_for
 from repro.sched.loop import (Acquire, Delay, EventLoop, Io, JobQueue,
                               Release, Resource, Take, TieBreak)
+from repro.shard.router import shard_index
 
 
 @dataclass
@@ -183,9 +183,8 @@ class TrafficSim:
     # -- keyspace ------------------------------------------------------------
 
     def shard_of(self, key: bytes) -> int:
-        """Pure function of the key bytes (same scheme as ShardRouter)."""
-        digest = new_hasher("fast", key).digest()
-        return int.from_bytes(digest[:8], "big") % self.config.n_shards
+        """Pure function of the key bytes (the router's scheme, unpriced)."""
+        return shard_index(key, self.config.n_shards)
 
     def preload(self, tenants: int) -> None:
         """Populate every tenant's keyspace once, off the traffic clock."""

@@ -1,23 +1,23 @@
-"""Sharded engine: hash-partitioned shards with scatter-gather pricing.
+"""Deterministic hash routing and scatter-gather pricing.
 
 A single engine is bounded by one WAL, one buffer pool, and one device
-queue.  This package partitions the keyspace by content hash across N
-fully independent :class:`~repro.db.database.BlobDB` shards — each with
-its own :class:`SimulatedNVMe`, WAL, buffer pool, and I/O scheduler —
-and prices cross-shard batches the way the device layer prices
-overlapped NVMe commands: parallel work pays the slowest participant
-(the *makespan*), not the sum.
+queue.  The keyspace is partitioned by content hash across N fully
+independent partitions — each with its own :class:`SimulatedNVMe`, WAL,
+buffer pool, and I/O scheduler — and cross-partition batches are priced
+the way the device layer prices overlapped NVMe commands: parallel work
+pays the slowest participant (the *makespan*), not the sum.
 
-* :class:`ShardRouter` — deterministic key→shard assignment (SHA-256
-  content hash, ``repro.core.hashing``), routing charged per key;
-* :class:`ShardedBlobDB` — scatter-gather ``multiget`` / ``multiput`` /
-  ``scan``, per-shard crash recovery with makespan pricing, aggregated
-  :class:`~repro.db.stats.EngineReport` with a shard-balance line.
+* :func:`shard_index` — the key→partition hash (SHA-256 content hash,
+  ``repro.core.hashing``), a pure function of the key bytes;
+* :class:`ShardRouter` — routing charged per key, the balance counters,
+  and :meth:`ShardRouter.gather`, the one scatter-gather pricing core.
 
-See ``docs/sharding.md`` for the design and its caveats (skew!).
+A partition is a replica group: the sharded engine is
+:class:`~repro.replica.ReplicatedShardedBlobDB` with ``n_replicas=0,
+quorum=1`` (a shard is a replica group of one).  See
+``docs/sharding.md`` for the design and its caveats (skew!).
 """
 
-from repro.shard.router import RouterStats, ShardRouter
-from repro.shard.sharded import ShardedBlobDB
+from repro.shard.router import RouterStats, ShardRouter, shard_index
 
-__all__ = ["ShardRouter", "RouterStats", "ShardedBlobDB"]
+__all__ = ["ShardRouter", "RouterStats", "shard_index"]

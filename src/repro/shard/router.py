@@ -8,7 +8,10 @@ processes, and shard counts that agree.  Routing work is priced on the
 *router's* cost model: the per-key hash + bucket math via
 :meth:`~repro.sim.cost.CostModel.shard_route`, and a per-shard scatter
 charge via :meth:`~repro.sim.cost.CostModel.shard_fanout` when a batch
-fans out.
+fans out.  :meth:`ShardRouter.gather` prices every scatter-gather the
+way the device layer prices overlapped NVMe commands: each participant
+runs on its own clock and the router's clock advances by the slowest
+one (the *makespan*), not the sum.
 """
 
 from __future__ import annotations
@@ -17,6 +20,12 @@ from dataclasses import dataclass, field
 
 from repro.core.hashing import new_hasher
 from repro.sim.cost import CostModel
+
+
+def shard_index(key: bytes, n_shards: int, hasher_kind: str = "fast") -> int:
+    """Shard id of ``key`` among ``n_shards``: a pure function of its bytes."""
+    digest = new_hasher(hasher_kind, key).digest()
+    return int.from_bytes(digest[:8], "big") % n_shards
 
 
 @dataclass
@@ -57,8 +66,7 @@ class ShardRouter:
     def shard_of(self, key: bytes) -> int:
         """Deterministic shard id for ``key`` (pure function of bytes)."""
         self.model.shard_route(len(key))
-        digest = new_hasher(self.hasher_kind, key).digest()
-        shard = int.from_bytes(digest[:8], "big") % self.n_shards
+        shard = shard_index(key, self.n_shards, self.hasher_kind)
         self.stats.routed_keys += 1
         self.stats.per_shard_keys[shard] += 1
         if self.model.obs is not None:
@@ -86,3 +94,36 @@ class ShardRouter:
         if self.model.obs is not None:
             self.model.obs.count("shard.fanout")
             self.model.obs.observe("shard.fanout_width", n_sub_batches)
+
+    def run_each(self, ids, clock_of, runner) -> list:
+        """Run ``runner(pid)`` for each participant, in sorted id order
+        (determinism), and return each one's elapsed time on its own
+        clock ``clock_of(pid)``; charges nothing to the router."""
+        elapsed = []
+        for pid in sorted(ids):
+            clock = clock_of(pid)
+            start_ns = clock.now_ns
+            runner(pid)
+            elapsed.append(clock.now_ns - start_ns)
+        return elapsed
+
+    def gather(self, ids, clock_of, runner) -> float:
+        """Scatter to the participants ``ids``; advance by the makespan.
+
+        Charges the fan-out, runs the participants through
+        :meth:`run_each` and advances the router's clock by the maximum
+        elapsed time — the scatter-gather latency a client observes.
+        Returns the makespan.
+        """
+        ids = sorted(ids)
+        self.charge_fanout(len(ids))
+        elapsed = self.run_each(ids, clock_of, runner)
+        makespan = max([0, *elapsed])
+        obs = self.model.obs
+        if obs is not None:
+            for pid, ns in zip(ids, elapsed):
+                obs.observe(f"shard.s{pid}.batch_ns", ns)
+            obs.observe("shard.makespan_ns", makespan)
+            obs.observe("shard.imbalance", int(self.stats.imbalance() * 1000))
+        self.model.clock.advance(makespan)
+        return makespan

@@ -16,7 +16,9 @@ from repro.net import (
     UNIX_SOCKET,
     BlobServer,
     RemoteBlobStore,
+    ReplicatedBlobServer,
 )
+from repro.replica import ReplicatedShardedBlobDB
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 
 
@@ -243,15 +245,15 @@ class TestDispatchCostParam:
 
 
 def sharded_server(n_shards=4, transports=TCP_ETHERNET, fault_plan=None,
-                   retry_attempts=0):
-    from repro.net import ShardedBlobServer
-    from repro.shard import ShardedBlobDB
-
+                   retry_attempts=0, n_replicas=0):
+    """The scatter-gather server over ``n_shards`` replica groups (of one
+    unless ``n_replicas`` says otherwise)."""
     config = EngineConfig(device_pages=16384, wal_pages=512,
                           catalog_pages=128, buffer_pool_pages=4096)
-    sdb = ShardedBlobDB(n_shards=n_shards, config=config)
-    return ShardedBlobServer(sdb, transports, fault_plan=fault_plan,
-                             retry_attempts=retry_attempts)
+    rdb = ReplicatedShardedBlobDB(n_groups=n_shards, n_replicas=n_replicas,
+                                  quorum=1, config=config)
+    return ReplicatedBlobServer(rdb, transports, fault_plan=fault_plan,
+                                retry_attempts=retry_attempts)
 
 
 class TestShardedServer:
@@ -289,14 +291,14 @@ class TestShardedServer:
 
     def test_client_latency_is_makespan(self):
         server = sharded_server()
-        sdb = server.sdb
+        sdb = server.rdb
         keys = [b"key%04d" % i for i in range(32)]
-        before = [b.db.model.clock.now_ns for b in server.backends]
+        before = [g.model.clock.now_ns for g in server.groups]
         start = sdb.model.clock.now_ns
         server.multiput([(k, b"p" * 1024) for k in keys])
         observed = sdb.model.clock.now_ns - start
-        per_shard = [b.db.model.clock.now_ns - t
-                     for b, t in zip(server.backends, before)]
+        per_shard = [g.model.clock.now_ns - t
+                     for g, t in zip(server.groups, before)]
         fanout = sum(1 for ns in per_shard if ns > 0)
         assert fanout > 1
         assert observed < sum(per_shard)
@@ -305,7 +307,7 @@ class TestShardedServer:
     def test_partial_failure_retries_only_the_lost_sub_batch(self):
         """A TransientNetworkError loses one shard's sub-batch in
         flight; the per-shard retry re-issues it alone, so every
-        backend still executes its sub-batch exactly once."""
+        shard still executes its sub-batch exactly once."""
         plan = FaultPlan(FaultSpec(seed=9, network_error=0.4))
         server = sharded_server(fault_plan=plan, retry_attempts=6)
         keys = [b"key%04d" % i for i in range(32)]
@@ -314,12 +316,13 @@ class TestShardedServer:
         assert sum(r.stats.retries for r in server.retries) == \
             plan.stats.network_errors
         # Exactly-once execution per key despite the storm: the lost
-        # sub-batches never reached their backend.
+        # sub-batches never reached their shard, so each shard acked
+        # every key of its sub-batch once.
         parts = {s: len(sub) for s, sub in
                  server.router.partition(keys).items()}
         server.router.stats.routed_keys -= len(keys)  # undo probe
-        for shard_id, backend in enumerate(server.backends):
-            assert backend.stats.requests == parts.get(shard_id, 0)
+        for shard_id, group in enumerate(server.groups):
+            assert group.stats.acked_writes == parts.get(shard_id, 0)
 
     def test_without_retry_the_loss_surfaces_typed(self):
         plan = FaultPlan(FaultSpec(seed=1, network_error=1.0))
@@ -332,7 +335,34 @@ class TestShardedServer:
         keys = [b"key%04d" % i for i in range(16)]
         server.multiput([(k, b"d" * 128) for k in keys])
         total = server.stats
-        assert total.requests == 16
-        assert total.requests == \
-            sum(b.stats.requests for b in server.backends)
+        # One request per sub-batch, i.e. per shard the batch touched.
+        assert total.requests == len(server.router.partition(keys))
         assert total.bytes_in == sum(len(k) + 128 for k in keys)
+
+
+class TestScatterGatherGuard:
+    """Malformed requests are refused typed, before routing or pricing,
+    as :class:`RemoteBlobStore` refuses them."""
+
+    @pytest.mark.parametrize("call", [
+        lambda server: server.put("k", b"v" * 16),
+        lambda server: server.get(None),
+        lambda server: server.put(b"k", 5),
+    ], ids=["str-key", "none-key", "int-payload"])
+    @pytest.mark.parametrize("n_shards,n_replicas", [(4, 0), (2, 2)],
+                             ids=["4x1", "2x3"])
+    def test_malformed_request_is_refused_before_routing(
+            self, call, n_shards, n_replicas):
+        server = sharded_server(n_shards=n_shards, n_replicas=n_replicas)
+        router = server.router
+        before = (repr(router.stats), router.model.clock.now_ns,
+                  [g.model.clock.now_ns for g in server.groups],
+                  [m.model.clock.now_ns for g in server.groups
+                   for m in g.members])
+        with pytest.raises(RemoteProtocolError):
+            call(server)
+        assert before == (repr(router.stats), router.model.clock.now_ns,
+                          [g.model.clock.now_ns for g in server.groups],
+                          [m.model.clock.now_ns for g in server.groups
+                           for m in g.members])
+        assert server.stats.requests == 0

@@ -45,6 +45,16 @@ def make_group(quorum=2, n_replicas=2, **kwargs):
                         config=small_config(), **kwargs)
 
 
+def assert_same_contents(member, primary):
+    """Same applied LSN, same keys, same Blob State SHA-256 per key."""
+    assert member.applied_lsn == primary.applied_lsn
+    keys = [key for key, _ in member.db.scan("blobs")]
+    assert keys == [key for key, _ in primary.db.scan("blobs")]
+    for key in keys:
+        assert member.db.get_state("blobs", key).sha256 == \
+            primary.db.get_state("blobs", key).sha256
+
+
 class TestReplicationRecord:
     def test_roundtrip_put_and_delete(self):
         put = ReplicationRecord(lsn=7, epoch=2, op="put", key=b"k",
@@ -106,9 +116,12 @@ class TestQuorumCommit:
         group.put(b"k", b"v" * 100)
         solo.put(b"k", b"v" * 100)
         # Replicas still apply (on their own clocks) but the group
-        # clock only pays the primary plus fan-out bookkeeping — the
-        # same order of magnitude as an unreplicated engine.
-        assert group.model.clock.now_ns < 2 * solo.model.clock.now_ns
+        # clock only pays the primary plus fan-out bookkeeping (two
+        # ship enqueues and the quorum decision) over the unreplicated
+        # engine — never a link.
+        params = group.model.params
+        assert group.model.clock.now_ns == solo.model.clock.now_ns \
+            + 2 * params.replica_ship_ns + params.quorum_commit_ns
         assert group.stats.records_shipped == 2
 
     def test_invalid_quorum_rejected(self):
@@ -155,21 +168,75 @@ class TestWalShipping:
             if group.max_lag() == 0:
                 break
         assert group.max_lag() == 0
-        assert lagger.history == group.primary.history
+        assert_same_contents(lagger, group.primary)
 
     def test_catch_up_applies_strictly_in_lsn_order(self):
         group = make_group()
         lagger = group.members[1]
-        lagger.partitioned_until_ns = lagger.model.clock.now_ns + 5e5
+        applied = []
+        apply = lagger.apply
+
+        def recording_apply(*records):
+            applied.extend(r.lsn for r in records)
+            apply(*records)
+        lagger.apply = recording_apply
+        lagger.partitioned_until_ns = lagger.model.clock.now_ns + 3e6
         group.put(b"a", b"1" * 64)
         group.put(b"b", b"2" * 64)
         group.put(b"c", b"3" * 64)
+        primary = group.primary
+        assert lagger.lag(primary.applied_lsn) > 0
+        # The primary retains the lagger's gap, consecutive from the base.
+        assert primary.history_base == lagger.applied_lsn
+        assert [r.lsn for r in primary.history] == \
+            list(range(primary.history_base + 1, primary.applied_lsn + 1))
         for _ in range(10):
             group.catch_up()
             if group.max_lag() == 0:
                 break
-        assert [r.lsn for r in lagger.history] == \
-            list(range(1, len(lagger.history) + 1))
+        assert group.max_lag() == 0
+        # Every record reached the lagger once, in LSN order, no gap.
+        assert applied == list(range(1, primary.applied_lsn + 1))
+        assert_same_contents(lagger, primary)
+
+
+class TestHistoryRetention:
+    """A member keeps only the records some live member still lacks."""
+
+    def test_caught_up_group_retains_no_history(self):
+        group = make_group()
+        for i in range(40):
+            group.put(b"k%d" % (i % 10), bytes([i]) * 2000)
+        group.drain()
+        assert group.max_lag() == 0
+        for member in group.members:
+            assert member.history == []
+            assert member.history_base == member.applied_lsn == 40
+
+    def test_group_of_one_retains_no_history(self):
+        group = make_group(quorum=1, n_replicas=0)
+        for i in range(20):
+            group.put(b"k%d" % (i % 4), b"v" * 20_000)
+            assert group.primary.history == []
+        group.multiput([(b"a", b"1"), (b"b", b"2")])
+        assert group.primary.history == []
+        assert group.primary.history_base == 22
+
+    def test_lagging_member_pins_exactly_its_gap(self):
+        group = make_group()
+        lagger = group.members[2]
+        group.put(b"first", b"f" * 64)
+        lagger.partitioned_until_ns = lagger.model.clock.now_ns + 1e12
+        for i in range(5):
+            group.put(b"p%d" % i, b"z" * 100)
+        primary = group.primary
+        assert primary.history_base == lagger.applied_lsn == 1
+        assert [r.lsn for r in primary.history] == [2, 3, 4, 5, 6]
+        lagger.partitioned_until_ns = 0.0
+        group.catch_up()
+        assert group.max_lag() == 0
+        assert all(m.history == [] for m in group.members)
+        assert group.get(b"p4") == b"z" * 100
 
 
 class TestReadFanOut:
@@ -299,8 +366,7 @@ class TestEpochFencingAndRejoin:
         assert member.alive and member.epoch == group.epoch
         assert not member.db.exists("blobs", b"orphan")
         # The rejoined member's state matches the authoritative log.
-        assert member.applied_lsn == group.primary.applied_lsn
-        assert member.history == group.primary.history
+        assert_same_contents(member, group.primary)
 
     def test_rejoined_member_serves_writes_again(self):
         group = make_group()

@@ -1,9 +1,12 @@
 """Determinism and scaling tests for the sharded engine.
 
-The contract under test: shard assignment is a pure function of the key
-bytes, every shard runs on its own clock, cross-shard batches are priced
-as the makespan over shards, and two identical runs are *identical* —
-same assignment, same per-shard device traffic, same makespan.
+The sharded engine is the router over replica groups of one
+(``n_replicas=0, quorum=1``).  The contract under test: shard assignment
+is a pure function of the key bytes, every shard runs on its own clock,
+cross-shard batches are priced as the makespan over shards, two
+identical runs are *identical* — same assignment, same per-shard device
+traffic, same makespan — and a group of one prices exactly like the
+bare engine it wraps.
 """
 
 import random
@@ -13,7 +16,8 @@ import pytest
 from repro.db.config import EngineConfig
 from repro.db.errors import KeyNotFoundError
 from repro.db.stats import EngineReport
-from repro.shard import ShardedBlobDB, ShardRouter
+from repro.replica import ReplicatedShardedBlobDB
+from repro.shard import ShardRouter
 from repro.sim.cost import CostModel, CostParams
 from repro.sim.workers import WorkerSim
 from repro.workloads.ycsb import zipf_sampler
@@ -23,6 +27,17 @@ def small_config(**overrides):
     return EngineConfig(device_pages=16384, wal_pages=512,
                         catalog_pages=128, buffer_pool_pages=4096,
                         **overrides)
+
+
+def sharded(n_shards):
+    """The sharded engine: ``n_shards`` replica groups of one."""
+    return ReplicatedShardedBlobDB(n_groups=n_shards, n_replicas=0,
+                                   quorum=1, config=small_config())
+
+
+def engines(sdb):
+    """Each shard's engine (its group's only member)."""
+    return [group.primary.db for group in sdb.groups]
 
 
 def keyset(n, prefix=b"user"):
@@ -74,7 +89,7 @@ class TestRouter:
 
 class TestShardedBlobDB:
     def test_single_key_roundtrip(self):
-        sdb = ShardedBlobDB(n_shards=4, config=small_config())
+        sdb = sharded(4)
         sdb.put(b"k", b"v" * 5000)
         assert sdb.get(b"k") == b"v" * 5000
         assert sdb.stat(b"k") == 5000
@@ -85,7 +100,7 @@ class TestShardedBlobDB:
             sdb.get(b"k")
 
     def test_multiget_returns_request_order(self):
-        sdb = ShardedBlobDB(n_shards=4, config=small_config())
+        sdb = sharded(4)
         keys = keyset(24)
         sdb.multiput([(k, bytes([i]) * 512) for i, k in enumerate(keys)])
         got = sdb.multiget(list(reversed(keys)))
@@ -93,19 +108,19 @@ class TestShardedBlobDB:
             assert data == bytes([i]) * 512
 
     def test_multiput_is_replace(self):
-        sdb = ShardedBlobDB(n_shards=2, config=small_config())
+        sdb = sharded(2)
         sdb.multiput([(b"k", b"old" * 100)])
         sdb.multiput([(b"k", b"new" * 50)])
         assert sdb.get(b"k") == b"new" * 50
 
     def test_multiput_duplicate_key_last_writer_wins(self):
-        sdb = ShardedBlobDB(n_shards=2, config=small_config())
+        sdb = sharded(2)
         sdb.multiput([(b"dup", b"a" * 64), (b"x", b"y" * 64),
                       (b"dup", b"b" * 64)])
         assert sdb.get(b"dup") == b"b" * 64
 
     def test_scan_merges_shards_in_key_order(self):
-        sdb = ShardedBlobDB(n_shards=4, config=small_config())
+        sdb = sharded(4)
         keys = keyset(40)
         sdb.multiput([(k, b"p" * 128) for k in keys])
         rows = sdb.scan()
@@ -114,14 +129,14 @@ class TestShardedBlobDB:
     def test_batch_latency_is_makespan_not_sum(self):
         """The router clock advances by the slowest shard's sub-batch,
         strictly less than the serial sum of all sub-batches."""
-        sdb = ShardedBlobDB(n_shards=4, config=small_config())
+        sdb = sharded(4)
         keys = keyset(64)
-        before = [s.model.clock.now_ns for s in sdb.shards]
+        before = [g.model.clock.now_ns for g in sdb.groups]
         start = sdb.model.clock.now_ns
         sdb.multiput([(k, b"d" * 2048) for k in keys])
         observed = sdb.model.clock.now_ns - start
-        per_shard = [s.model.clock.now_ns - b
-                     for s, b in zip(sdb.shards, before)]
+        per_shard = [g.model.clock.now_ns - b
+                     for g, b in zip(sdb.groups, before)]
         assert observed < sum(per_shard)
         assert observed >= max(per_shard)
 
@@ -142,7 +157,7 @@ def batch_stream_ns(n_shards, zipf_theta=0.0, n_records=96, batch=128,
     ``multiget`` and the fourth ``multiput`` keys drawn uniformly or
     Zipf-``theta`` (duplicates are upserts the hot shard serializes).
     """
-    sdb = ShardedBlobDB(n_shards=n_shards, config=small_config())
+    sdb = sharded(n_shards)
     rng = random.Random(3)
     keys = keyset(n_records)
     for lo in range(0, n_records, 32):
@@ -161,13 +176,13 @@ def batch_stream_ns(n_shards, zipf_theta=0.0, n_records=96, batch=128,
         else:
             assert all(len(data) == payload
                        for data in sdb.multiget([keys[i] for i in idx]))
-    sdb.drain_commit_window()
+    sdb.drain()
     return sdb.model.clock.now_ns - start
 
 
 def run_workload(n_shards=4, seed_keys=48):
     """One pinned workload; returns (sdb, makespan_ns)."""
-    sdb = ShardedBlobDB(n_shards=n_shards, config=small_config())
+    sdb = sharded(n_shards)
     keys = keyset(seed_keys)
     start = sdb.model.clock.now_ns
     sdb.multiput([(k, bytes([i % 251]) * 1024)
@@ -175,7 +190,7 @@ def run_workload(n_shards=4, seed_keys=48):
     sdb.multiget(keys)
     sdb.multiput([(k, bytes([(i + 1) % 251]) * 1024)
                   for i, k in enumerate(keys[::2])])
-    sdb.drain_commit_window()
+    sdb.drain()
     return sdb, sdb.model.clock.now_ns - start
 
 
@@ -189,13 +204,13 @@ class TestDeterminism:
         assert first.router.stats.per_shard_keys == \
             second.router.stats.per_shard_keys
         # Identical per-shard DeviceStats (every counter, per category).
-        for shard_a, shard_b in zip(first.shards, second.shards):
+        for shard_a, shard_b in zip(engines(first), engines(second)):
             assert shard_a.device.stats == shard_b.device.stats
         # Identical makespan on the router clock.
         assert makespan_a == makespan_b
         # And identical per-shard clocks.
-        assert [s.model.clock.now_ns for s in first.shards] == \
-            [s.model.clock.now_ns for s in second.shards]
+        assert [s.model.clock.now_ns for s in engines(first)] == \
+            [s.model.clock.now_ns for s in engines(second)]
 
     def test_report_is_identical_across_runs(self):
         first, _ = run_workload()
@@ -208,14 +223,14 @@ class TestRecovery:
         sdb, _ = run_workload()
         expected = {k: sdb.get(k) for k in keyset(48)}
         devices = sdb.crash()
-        recovered = ShardedBlobDB.recover(devices, small_config())
+        recovered = ReplicatedShardedBlobDB.recover(devices, small_config())
         for key, data in expected.items():
             assert recovered.get(key) == data
 
     def test_recovery_is_priced_as_makespan(self):
         sdb, _ = run_workload()
         devices = sdb.crash()
-        recovered = ShardedBlobDB.recover(devices, small_config())
+        recovered = ReplicatedShardedBlobDB.recover(devices, small_config())
         assert recovered.recovery_makespan_ns > 0
         assert recovered.recovery_makespan_ns < \
             recovered.recovery_serial_ns
@@ -225,7 +240,7 @@ class TestRecovery:
         serial replay time."""
         sdb, _ = run_workload(n_shards=4, seed_keys=64)
         devices = sdb.crash()
-        recovered = ShardedBlobDB.recover(devices, small_config())
+        recovered = ReplicatedShardedBlobDB.recover(devices, small_config())
         speedup = recovered.recovery_serial_ns / \
             recovered.recovery_makespan_ns
         assert speedup > 2.0
@@ -234,17 +249,125 @@ class TestRecovery:
         outcomes = []
         for _ in range(2):
             sdb, _ = run_workload()
-            recovered = ShardedBlobDB.recover(sdb.crash(), small_config())
+            recovered = ReplicatedShardedBlobDB.recover(sdb.crash(),
+                                                        small_config())
             outcomes.append((recovered.recovery_makespan_ns,
                              recovered.recovery_serial_ns))
         assert outcomes[0] == outcomes[1]
+
+
+#: Virtual ns of :func:`oracle_stream` as the bare-engine sharded
+#: router (one ``BlobDB`` per shard, no group layer) priced it: the
+#: router clock after every step, each shard engine's clock before the
+#: crash, and after recovery (router clock, engine clocks, makespan,
+#: serial sum, router clock after one more read).
+BARE_ENGINE_NS = {
+    1: {
+        "trail": [
+            978, 1990, 3303, 4314, 5481, 6839, 8114, 9483, 10160, 10760, 11397,
+            99075, 140150, 148790, 149190],
+        "shards": [142296],
+        "recovered": (
+            504750,
+            [646646],
+            504350, 504350, 578165),
+    },
+    4: {
+        "trail": [
+            1311, 2514, 3708, 4915, 5989, 7064, 8226, 9310, 10096, 10696,
+            11333, 44570, 63826, 73666, 75266],
+        "shards": [49686, 57299, 55289, 51290],
+        "recovered": (
+            428294,
+            [469911, 483993, 479059, 473814],
+            426694, 1693213, 501710),
+    },
+    8: {
+        "trail": [
+            1403, 2800, 3791, 5069, 6564, 7585, 9139, 10112, 10938, 11538,
+            12175, 38272, 55412, 66852, 70052],
+        "shards": [36812, 35365, 36351, 37474, 34666, 44843, 41392, 37803],
+        "recovered": (
+            419213,
+            [445598, 442096, 444256, 447730,
+             441804, 460856, 453678, 447653],
+            416013, 3278965, 492522),
+    },
+}
+
+
+def oracle_config():
+    return EngineConfig(device_pages=4096, wal_pages=256,
+                        catalog_pages=64, buffer_pool_pages=1024)
+
+
+def oracle_stream(n_shards):
+    """A seeded put / get / stat / delete / 128-key multiput and
+    multiget / scan / drain / crash / recover stream on groups of one."""
+    rng = random.Random(1000 + n_shards)
+    keys = keyset(144)
+    sdb = ReplicatedShardedBlobDB(n_groups=n_shards, n_replicas=0,
+                                  quorum=1, config=oracle_config())
+    trail = []
+
+    def mark():
+        trail.append(sdb.model.clock.now_ns)
+    for key in keys[:8]:
+        sdb.put(key, rng.randbytes(rng.randrange(64, 6000)))
+        mark()
+    sdb.get(keys[3])
+    mark()
+    sdb.stat(keys[5])
+    mark()
+    sdb.delete(keys[6])
+    mark()
+    sdb.multiput([(k, rng.randbytes(rng.randrange(64, 3000)))
+                  for k in keys[16:144]])
+    mark()
+    sdb.multiget(keys[16:144])
+    mark()
+    assert len(sdb.scan()) == 7 + 128
+    mark()
+    sdb.drain()
+    mark()
+    shards = [s.model.clock.now_ns for s in engines(sdb)]
+    rec = ReplicatedShardedBlobDB.recover(sdb.crash(), oracle_config())
+    recovered = (rec.model.clock.now_ns,
+                 [s.model.clock.now_ns for s in engines(rec)],
+                 rec.recovery_makespan_ns, rec.recovery_serial_ns)
+    rec.get(keys[20])
+    return {"trail": trail, "shards": shards,
+            "recovered": recovered + (rec.model.clock.now_ns,)}
+
+
+class TestGroupOfOneOracle:
+    """A shard is a replica group of one: the router over groups of one
+    reproduces the bare-engine sharded router's virtual time exactly."""
+
+    @pytest.mark.parametrize("n_shards", sorted(BARE_ENGINE_NS))
+    def test_groups_of_one_price_like_bare_engines(self, n_shards):
+        assert oracle_stream(n_shards) == BARE_ENGINE_NS[n_shards]
+
+    def test_restart_is_not_a_fanout_batch(self):
+        sdb, _ = run_workload()
+        rec = ReplicatedShardedBlobDB.recover(sdb.crash(), small_config())
+        assert rec.router.stats.fanout_batches == 0
+        assert rec.stats_report().shard_fanout_batches == 0
+        rec.get(keyset(1)[0])
+        assert rec.router.stats.fanout_batches == 1
+
+    def test_replicated_groups_refuse_whole_router_crash(self):
+        rdb = ReplicatedShardedBlobDB(n_groups=2, n_replicas=1, quorum=1,
+                                      config=oracle_config())
+        with pytest.raises(ValueError, match="crash_primary"):
+            rdb.crash()
 
 
 class TestShardReport:
     def test_single_shard_report_has_no_imbalance(self):
         """One-shard reports must not divide by the shard count or
         invent an imbalance ratio (the N=1 guard)."""
-        sdb = ShardedBlobDB(n_shards=1, config=small_config())
+        sdb = sharded(1)
         sdb.put(b"k", b"v" * 256)
         report = sdb.stats_report()
         assert report.shard_count == 1
@@ -258,7 +381,7 @@ class TestShardReport:
         assert "shards:" not in report.format()
 
     def test_empty_multi_shard_report_has_no_division_error(self):
-        sdb = ShardedBlobDB(n_shards=4, config=small_config())
+        sdb = sharded(4)
         report = sdb.stats_report()  # zero routed keys
         assert report.shard_imbalance == 0.0
         report.format()  # must not raise
@@ -276,9 +399,9 @@ class TestShardReport:
         sdb, _ = run_workload()
         report = sdb.stats_report()
         assert report.wal_records == \
-            sum(r.wal_records for r in sdb.shard_reports())
+            sum(r.wal_records for r in sdb.group_reports())
         assert report.device_bytes_read == \
-            sum(r.device_bytes_read for r in sdb.shard_reports())
+            sum(r.device_bytes_read for r in sdb.group_reports())
 
 
 class TestWorkerSimSharded:
