@@ -55,6 +55,7 @@ Usage::
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -343,6 +344,9 @@ def attach_race_detector(loop, mode: str = "collect") -> RaceDetector:
     they may produce false races, never missed ones).
     """
     detector = RaceDetector(mode=mode)
-    detector.now_fn = lambda: loop.now_ns
+    # The loop owns the detector (``loop.race``); the clock hook holds
+    # the loop weakly and is read only when a race is reported.
+    loop_ref = weakref.ref(loop)
+    detector.now_fn = lambda: loop_ref().now_ns
     loop.race = detector
     return detector

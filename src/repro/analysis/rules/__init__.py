@@ -21,6 +21,7 @@ from repro.analysis.rules.io import (
     HostNetExecRule,
     SubstrateBypassRule,
 )
+from repro.analysis.rules.lifetime import MethodCacheRule
 
 #: Every registered rule, in ID order.
 ALL_RULES = (
@@ -32,12 +33,14 @@ ALL_RULES = (
     SubstrateBypassRule,
     UnguardedSharedMutationRule,
     YieldAcrossCriticalSectionRule,
+    MethodCacheRule,
 )
 
 __all__ = [
     "ALL_RULES",
     "HostFileIoRule",
     "HostNetExecRule",
+    "MethodCacheRule",
     "SetOrderRule",
     "SubstrateBypassRule",
     "UnguardedSharedMutationRule",

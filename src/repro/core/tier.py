@@ -21,8 +21,6 @@ paper rejects for their waste (50 % and 38.2 % respectively).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 class TierTable:
     """Common interface: a static mapping from tier index to extent size."""
@@ -69,7 +67,7 @@ class ExtentTier(TierTable):
             raise ValueError("tiers_per_level and max_levels must be >= 1")
         self.tiers_per_level = tiers_per_level
         self.max_levels = max_levels
-        self._size = lru_cache(maxsize=None)(self._size_uncached)
+        self._cache: dict[int, int] = {}
 
     def _size_uncached(self, tier_index: int) -> int:
         t = self.tiers_per_level
@@ -80,7 +78,11 @@ class ExtentTier(TierTable):
     def size(self, tier_index: int) -> int:
         if tier_index < 0:
             raise ValueError("tier index must be >= 0")
-        return self._size(tier_index)
+        try:
+            return self._cache[tier_index]
+        except KeyError:
+            size = self._cache[tier_index] = self._size_uncached(tier_index)
+            return size
 
 
 class PowerOfTwoTier(TierTable):

@@ -15,6 +15,7 @@ every committed BLOB's SHA-256 exactly as Section III-C describes.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterator
 
@@ -48,6 +49,19 @@ from repro.wal.writer import WalFullError, WalWriter
 
 #: System table listing user tables (so DDL survives recovery).
 _TABLES_TABLE = "\x00tables"
+
+
+def new_relation_index(config: EngineConfig, model: CostModel):
+    """Create a relation index (B-Tree, ART, or learned, per ``config``)."""
+    kind = config.index_structure
+    if kind == "art":
+        from repro.art import ArtTree
+        return ArtTree(model=model)
+    if kind == "learned":
+        from repro.lindex import LearnedIndex
+        return LearnedIndex(model=model, epsilon=config.lindex_epsilon,
+                            delta_max=config.lindex_delta_max)
+    return BTree(node_bytes=config.page_size, model=model, key_size=len)
 
 
 @dataclass
@@ -101,11 +115,15 @@ class BlobDB:
             self.tiers, cfg.data_start_pid,
             self.device.capacity_pages - cfg.data_start_pid,
             model=self.model)
+        # The WAL calls back into its owner only when its ring fills (once
+        # per checkpoint), through a weak reference: a child never holds
+        # its owner, so dropping the engine frees it by reference counting.
+        engine = weakref.ref(self)
         self.wal = WalWriter(self.wal_device, self.model,
                              region_pid=cfg.wal_region_pid,
                              region_pages=cfg.wal_pages,
                              buffer_bytes=cfg.wal_buffer_bytes,
-                             checkpoint_cb=self._forced_checkpoint)
+                             checkpoint_cb=lambda: engine()._forced_checkpoint())
         # Shared bounded-retry policy for transient device faults, used
         # by the pool, the WAL writer, formatting, and checkpoints.
         # Imported lazily: faults.py imports repro.db.errors.
@@ -129,7 +147,7 @@ class BlobDB:
         self.policy.commit_window_ns = cfg.group_commit_window_ns
         self.locks = LockTable(self.model)
         self._tables: dict[str, BTree] = {
-            _TABLES_TABLE: self._new_btree()}
+            _TABLES_TABLE: new_relation_index(self.config, self.model)}
         self._active: dict[int, Transaction] = {}
         self._next_txn_id = 1
         self._checkpoint_id = 0
@@ -144,20 +162,6 @@ class BlobDB:
         self.ns = None
         if not _skip_format:
             self._format()
-
-    def _new_btree(self):
-        """Create a relation index (B-Tree, ART, or learned, per config)."""
-        kind = self.config.index_structure
-        if kind == "art":
-            from repro.art import ArtTree
-            return ArtTree(model=self.model)
-        if kind == "learned":
-            from repro.lindex import LearnedIndex
-            return LearnedIndex(model=self.model,
-                                epsilon=self.config.lindex_epsilon,
-                                delta_max=self.config.lindex_delta_max)
-        return BTree(node_bytes=self.config.page_size, model=self.model,
-                     key_size=lambda k: len(k))
 
     def _format(self) -> None:
         super_block = Superblock(active_slot=-1, catalog_len=0,
@@ -177,7 +181,7 @@ class BlobDB:
         txn = self.begin()
         try:
             self._insert(txn, _TABLES_TABLE, name.encode(), b"")
-            self._tables[name] = self._new_btree()
+            self._tables[name] = new_relation_index(self.config, self.model)
             self.commit(txn)
         except Exception:
             self._tables.pop(name, None)
@@ -856,7 +860,7 @@ class BlobDB:
             if name != _TABLES_TABLE and name not in registered:
                 continue  # the table was dropped before the crash
             if name not in db._tables:
-                db._tables[name] = db._new_btree()
+                db._tables[name] = new_relation_index(db.config, db.model)
             tree = db._tables[name]
             for key, value in recovered.tables[name].items():
                 tree.insert(key, value)

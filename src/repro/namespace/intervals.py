@@ -12,7 +12,7 @@ descendants of any node is exactly the nodes whose ``lo`` falls in
 ``(lo, hi)`` — and a whole-subtree question becomes **one range scan**
 over an ordered index keyed by ``lo``.
 
-The ordered index is built through ``db._new_btree()``, i.e. it runs on
+The ordered index is built through ``new_relation_index``, i.e. it runs on
 whichever relation-index engine the config selects (B-Tree, ART, or
 the learned tier) and every probe of the accelerator is priced through
 that engine's cost charges.
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+from repro.db.database import new_relation_index
+
 #: Interval width reserved for a fresh directory (files take 2 slots:
 #: their ``lo`` and ``hi`` marks).  31 files fit before a renumber.
 _DIR_SPAN = 64
@@ -42,15 +44,21 @@ def _enc(number: int) -> bytes:
 
 
 class NsNode:
-    """One namespace node: a directory, a file, or (S3-style) both."""
+    """One namespace node: a directory, a file, or (S3-style) both.
 
-    __slots__ = ("name", "parent", "children", "is_file", "size", "etag",
+    A node holds its children, never its parent: the tree owns its
+    nodes top-down, so dropping the root frees it by reference counting.
+    ``path`` (``/``-joined names from the root) answers ``rel_path``.
+    """
+
+    __slots__ = ("name", "path", "children", "is_file", "size", "etag",
                  "table", "key", "lo", "hi", "cursor", "_span")
 
     def __init__(self, name: str, parent: "NsNode | None",
                  lo: int, hi: int) -> None:
         self.name = name
-        self.parent = parent
+        self.path = name if parent is None or not parent.path \
+            else f"{parent.path}/{name}"
         self.children: dict[str, NsNode] = {}
         self.is_file = False
         self.size = 0
@@ -67,37 +75,30 @@ class NsNode:
     def is_dir(self) -> bool:
         return bool(self.children) or not self.is_file
 
-    def depth(self) -> int:
-        d, node = 0, self
-        while node.parent is not None:
-            d += 1
-            node = node.parent
-        return d
-
     def rel_path(self, ancestor: "NsNode") -> str:
         """Path of this node relative to ``ancestor`` (``a/b/c``)."""
-        parts: list[str] = []
-        node = self
-        while node is not ancestor:
-            parts.append(node.name)
-            node = node.parent
-            if node is None:
-                raise ValueError("node is not a descendant of ancestor")
-        return "/".join(reversed(parts))
+        if self is ancestor:
+            return ""
+        prefix = f"{ancestor.path}/" if ancestor.path else ""
+        if not self.path.startswith(prefix):
+            raise ValueError("node is not a descendant of ancestor")
+        return self.path[len(prefix):]
 
 
 class NamespaceIndex:
     """Pre/post-order interval numbering over a :class:`BlobDB` namespace."""
 
     def __init__(self, db: Any) -> None:
-        self._db = db
+        # The index keeps what renumbering needs (config, model), not
+        # the engine that holds it as ``db.ns``: no reference cycle.
+        self._config = db.config
         self._model = db.model
         self._root = NsNode("", None, 0, _DIR_SPAN - 1)
-        self._tree = db._new_btree()
+        self._tree = new_relation_index(self._config, self._model)
         self.nodes = 0
         self.range_scans = 0
         self.renumbers = 0
-        self._build()
+        self._build(db)
 
     # -- construction ------------------------------------------------------
 
@@ -108,9 +109,9 @@ class NamespaceIndex:
         db.ns = ns
         return ns
 
-    def _build(self) -> None:
-        for table in self._db.list_tables():
-            for key, value in self._db.scan(table):
+    def _build(self, db: Any) -> None:
+        for table in db.list_tables():
+            for key, value in db.scan(table):
                 if key.startswith(b"\x00"):
                     continue
                 size, etag = _value_meta(value)
@@ -158,7 +159,9 @@ class NamespaceIndex:
     def note_delete(self, table: str, key: bytes) -> None:
         parts = self.split_key(table, key)
         node = self._root
+        walked = []
         for name in parts:
+            walked.append(node)
             node = node.children.get(name)
             if node is None:
                 return
@@ -166,10 +169,10 @@ class NamespaceIndex:
         node.size = 0
         node.etag = ""
         node.key = None
-        # Prune directories that only existed because of this key.
-        while node.parent is not None and not node.is_file \
-                and not node.children:
-            parent = node.parent
+        # Prune directories that only existed because of this key,
+        # climbing back up the nodes walked down.
+        while walked and not node.is_file and not node.children:
+            parent = walked.pop()
             del parent.children[node.name]
             self._tree.delete(_enc(node.lo))
             self.nodes -= 1
@@ -192,28 +195,21 @@ class NamespaceIndex:
         self.renumbers += 1
         if getattr(self._model, "obs", None) is not None:
             self._model.obs.count("ns.renumbers")
-        self._tree = self._db._new_btree()
+        self._tree = new_relation_index(self._config, self._model)
+        _measure(self._root)
+        self._assign(self._root, 0)
 
-        def span(node: NsNode) -> int:
-            node._span = 2 + _RENUMBER_SLACK \
-                + 2 * sum(span(c) for c in node.children.values())
-            return node._span
-
-        span(self._root)
-
-        def assign(node: NsNode, lo: int) -> None:
-            node.lo = lo
-            cur = lo
-            for name in sorted(node.children):
-                child = node.children[name]
-                assign(child, cur + 1)
-                cur += child._span
-            node.hi = lo + node._span - 1
-            node.cursor = cur
-            if node.parent is not None:
-                self._tree.insert(_enc(node.lo), node)
-
-        assign(self._root, 0)
+    def _assign(self, node: NsNode, lo: int) -> None:
+        node.lo = lo
+        cur = lo
+        for name in sorted(node.children):
+            child = node.children[name]
+            self._assign(child, cur + 1)
+            cur += child._span
+        node.hi = lo + node._span - 1
+        node.cursor = cur
+        if node is not self._root:
+            self._tree.insert(_enc(node.lo), node)
 
     # -- queries -----------------------------------------------------------
 
@@ -258,38 +254,43 @@ class NamespaceIndex:
     def verify(self) -> list[str]:
         """Check the numbering invariants; returns failure strings."""
         failures: list[str] = []
-        count = 0
-
-        def walk(node: NsNode) -> None:
-            nonlocal count
-            prev_hi = node.lo
-            # Siblings are disjoint in *interval* order; allocation
-            # order (and therefore lo order) is independent of name
-            # order, so sort by lo before checking adjacency.
-            for child in sorted(node.children.values(),
-                                key=lambda c: c.lo):
-                count += 1
-                if not (node.lo < child.lo <= child.hi < node.hi):
-                    failures.append(
-                        f"{child.name}: interval [{child.lo},{child.hi}] "
-                        f"not nested in [{node.lo},{node.hi}]")
-                if child.lo <= prev_hi:
-                    failures.append(
-                        f"{child.name}: interval overlaps a sibling")
-                prev_hi = max(prev_hi, child.hi)
-                if self._tree.lookup(_enc(child.lo)) is not child:
-                    failures.append(
-                        f"{child.name}: index entry missing or stale")
-                walk(child)
-            if node.cursor > node.hi:
-                failures.append(f"{node.name}: cursor beyond interval end")
-
-        walk(self._root)
+        count = self._verify(self._root, failures)
         if count != self.nodes:
             failures.append(f"node count {self.nodes} != walked {count}")
         if len(self._tree) != count:
             failures.append(f"index holds {len(self._tree)} of {count} nodes")
         return failures
+
+    def _verify(self, node: NsNode, failures: list[str]) -> int:
+        """Check ``node``'s children recursively; returns nodes walked."""
+        count = 0
+        prev_hi = node.lo
+        # Siblings are disjoint in *interval* order; allocation order
+        # (and therefore lo order) is independent of name order, so
+        # sort by lo before checking adjacency.
+        for child in sorted(node.children.values(), key=lambda c: c.lo):
+            count += 1
+            if not (node.lo < child.lo <= child.hi < node.hi):
+                failures.append(
+                    f"{child.name}: interval [{child.lo},{child.hi}] "
+                    f"not nested in [{node.lo},{node.hi}]")
+            if child.lo <= prev_hi:
+                failures.append(f"{child.name}: interval overlaps a sibling")
+            prev_hi = max(prev_hi, child.hi)
+            if self._tree.lookup(_enc(child.lo)) is not child:
+                failures.append(
+                    f"{child.name}: index entry missing or stale")
+            count += self._verify(child, failures)
+        if node.cursor > node.hi:
+            failures.append(f"{node.name}: cursor beyond interval end")
+        return count
+
+
+def _measure(node: NsNode) -> int:
+    """Set and return ``node._span``: slots its renumbered subtree needs."""
+    node._span = 2 + _RENUMBER_SLACK \
+        + 2 * sum(_measure(c) for c in node.children.values())
+    return node._span
 
 
 def _value_meta(value: Any) -> tuple[int, str]:

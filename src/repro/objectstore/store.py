@@ -90,7 +90,6 @@ class MultipartUpload:
             txn.remember_undo(self.bucket, self._staging_key, state)
             db._table(self.bucket).delete(self._staging_key)
         self._open = False
-        self._store._uploads.pop(self.upload_id, None)
         return self._store.head_object(self.bucket, self.key)
 
     def abort(self) -> None:
@@ -101,7 +100,6 @@ class MultipartUpload:
             with db.transaction() as txn:
                 db.delete_blob(txn, self.bucket, self._staging_key)
         self._open = False
-        self._store._uploads.pop(self.upload_id, None)
 
     def _ensure_open(self) -> None:
         if not self._open:
@@ -114,7 +112,6 @@ class ObjectStore:
     def __init__(self, db: BlobDB | None = None) -> None:
         self.db = db or BlobDB()
         self._upload_ids = itertools.count(1)
-        self._uploads: dict[int, MultipartUpload] = {}
 
     @property
     def ns(self):
@@ -233,9 +230,7 @@ class ObjectStore:
                                 key: bytes) -> MultipartUpload:
         if bucket not in self.db.list_tables():
             raise BucketNotFound(bucket)
-        upload = MultipartUpload(self, bucket, key, next(self._upload_ids))
-        self._uploads[upload.upload_id] = upload
-        return upload
+        return MultipartUpload(self, bucket, key, next(self._upload_ids))
 
 
 def _prefix_end(prefix: bytes) -> bytes | None:

@@ -288,6 +288,62 @@ class TestSubstrateBypassRule:
         assert findings == []
 
 
+class TestMethodCacheRule:
+    def test_flags_cache_wrapping_a_bound_method(self):
+        findings = run("""
+            import functools
+            from functools import lru_cache
+            class Tier:
+                def __init__(self):
+                    self._size = lru_cache(maxsize=None)(self._size_uncached)
+                    self._b = functools.cache(self.other)
+                    self._c = lru_cache(self.other)
+        """)
+        assert [(f.rule, f.line) for f in findings] == \
+            [("RPR009", 6), ("RPR009", 7), ("RPR009", 8)]
+
+    def test_flags_cache_decorated_methods(self):
+        findings = run("""
+            import functools
+            class Tier:
+                @functools.lru_cache(maxsize=128)
+                def size(self, i):
+                    return i
+                @functools.cache
+                def total(self):
+                    return 0
+                @classmethod
+                @lru_cache
+                def build(cls, n):
+                    return cls()
+        """)
+        assert [(f.rule, f.line) for f in findings] == \
+            [("RPR009", 4), ("RPR009", 7), ("RPR009", 11)]
+
+    def test_clean_cache_uses(self):
+        findings = run("""
+            import functools
+            from functools import cached_property, lru_cache
+            @lru_cache(maxsize=None)
+            def size(tiers_per_level, i):
+                return i
+            class Tier:
+                @staticmethod
+                @functools.cache
+                def pure(i):
+                    return i
+                @cached_property
+                def digest(self):
+                    return 0
+                def __init__(self):
+                    self._cache = {}
+                    self._pure = lru_cache(maxsize=None)(size)
+                    def local():
+                        return 1
+        """)
+        assert findings == []
+
+
 class TestSuppressions:
     def test_parse(self):
         sup = parse_suppressions(
