@@ -43,9 +43,7 @@ class BufferPoolBase:
 
     def __init__(self, device: SimulatedNVMe, model: CostModel,
                  capacity_pages: int, eviction_seed: int = 0,
-                 eviction_policy: str = "fair", *,
-                 io_queue_depth: int = 32,
-                 io_max_merge_pages: int = 64) -> None:
+                 eviction_policy: str = "fair") -> None:
         if capacity_pages <= 0:
             raise ValueError("capacity must be positive")
         if eviction_policy not in ("fair", "uniform"):
@@ -56,8 +54,7 @@ class BufferPoolBase:
         #: SQ/CQ front end: every batched pool I/O (miss loads, flush
         #: batches) goes through one scheduler so adjacent extents
         #: coalesce and batches are priced at its queue depth.
-        self.io = IoScheduler(device, model, queue_depth=io_queue_depth,
-                              max_merge_pages=io_max_merge_pages)
+        self.io = IoScheduler(device, model)
         #: "fair" draws a victim with probability proportional to its
         #: page count (Section III-G); "uniform" treats every extent as
         #: equally evictable (the ablation baseline).  Read on every

@@ -68,22 +68,13 @@ class EngineConfig:
     checkpoint_threshold: float = 0.5
     #: Out-of-place writes (the paper's Section VI proposal): logical
     #: PIDs are decoupled from physical addresses, so extent allocation
-    #: never fragments; physical space is exhausted only by live data.
+    #: never fragments; physical space is exhausted only by live data
+    #: (the logical space is 8x the physical device).
     out_of_place: bool = False
-    #: Logical address space as a multiple of the physical device when
-    #: ``out_of_place`` is on.
-    logical_space_multiplier: int = 8
     #: Attempts (total tries) for transient device/network faults before
-    #: the engine degrades to a typed ``RetriesExhaustedError``.
+    #: the engine degrades to a typed ``RetriesExhaustedError``; the
+    #: backoff starts at 50 virtual us and doubles per retry.
     io_retries: int = 4
-    #: First retry backoff in virtual nanoseconds (doubles per retry).
-    io_retry_base_ns: float = 50_000.0
-    #: Submission-queue depth of the pool's I/O scheduler: how many
-    #: requests of one batch the cost model overlaps in flight.
-    io_queue_depth: int = 32
-    #: Largest coalesced transfer (pages) the scheduler builds from
-    #: pid-adjacent requests.
-    io_max_merge_pages: int = 64
     #: Cross-worker group-commit window in virtual ns.  0 (the default)
     #: flushes at every commit; > 0 lets commits inside the window share
     #: one WAL flush and one sorted extent batch.
@@ -105,12 +96,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.io_retries < 1:
             raise ValueError("io_retries must be at least 1")
-        if self.io_retry_base_ns < 0:
-            raise ValueError("io_retry_base_ns must be non-negative")
-        if self.io_queue_depth < 1:
-            raise ValueError("io_queue_depth must be at least 1")
-        if self.io_max_merge_pages < 1:
-            raise ValueError("io_max_merge_pages must be at least 1")
         if self.group_commit_window_ns < 0:
             raise ValueError("group_commit_window_ns must be non-negative")
         if self.pool not in POOL_KINDS:

@@ -108,8 +108,6 @@ class BlobDB:
         self.pool = pool_cls(self.device, self.model,
                              capacity_pages=cfg.buffer_pool_pages,
                              **pool_kwargs)
-        self.pool.io.queue_depth = cfg.io_queue_depth
-        self.pool.io.max_merge_pages = cfg.io_max_merge_pages
         # The data area spans the device's (possibly logical) page space.
         self.allocator = ExtentAllocator(
             self.tiers, cfg.data_start_pid,
@@ -128,8 +126,7 @@ class BlobDB:
         # by the pool, the WAL writer, formatting, and checkpoints.
         # Imported lazily: faults.py imports repro.db.errors.
         from repro.storage.faults import RetryPolicy
-        self.retry = RetryPolicy(self.model, attempts=cfg.io_retries,
-                                 base_delay_ns=cfg.io_retry_base_ns)
+        self.retry = RetryPolicy(self.model, attempts=cfg.io_retries)
         self.pool.retry = self.retry
         self.wal.retry = self.retry
         #: Keys whose durable content failed its digest and could not be

@@ -8,24 +8,24 @@ the engine:
 
 * :class:`TransportProfile` — cost profiles for TCP/Ethernet,
   Unix-domain sockets, one-sided RDMA, and shared memory;
-* :class:`BlobServer` / :class:`RemoteBlobStore` — a request/response
-  protocol over any profile, with wire (de)serialization priced per
-  byte;
+* :class:`ReplicatedBlobServer` — the one server: a request/response
+  protocol over any profile, with server dispatch and wire
+  (de)serialization priced per exchange and per byte.  It fronts a
+  :class:`~repro.replica.ReplicatedShardedBlobDB` topology: a request
+  fans out to the router's replica groups over per-group transports,
+  each sub-batch commits inside its group (quorum, WAL shipping and
+  failover when the group has replicas), lost client sub-exchanges are
+  retried per group, latency is the makespan, and ``any_replica`` reads
+  rotate over group members with staleness accounting.  One group of
+  one is the single-engine server;
 * zero-serialization reads on shared-memory transports: like the
   engine's local aliasing path, the response hands the client a view
-  instead of a wire copy;
-* :class:`ReplicatedBlobServer` — the one scatter-gather front end: a
-  request fans out to the router's replica groups over per-group
-  transports, each sub-batch commits inside its group (quorum, WAL
-  shipping and failover when the group has replicas; a group of one is
-  a plain shard), lost client sub-exchanges are retried per group,
-  latency is the makespan, and ``any_replica`` reads rotate over group
-  members with staleness accounting.
+  instead of a wire copy.
 
 The ablation bench (``benchmarks/test_ablation_network.py``) shows the
-paper's narrative end to end: TCP costs client/server engines their
-standing; RDMA and shared memory recover most of the embedded
-performance.
+paper's narrative end to end on a one-group server: TCP costs
+client/server engines their standing; RDMA and shared memory recover
+most of the embedded performance.
 """
 
 from repro.net.transport import (
@@ -35,11 +35,7 @@ from repro.net.transport import (
     UNIX_SOCKET,
     TransportProfile,
 )
-from repro.net.remote import (
-    BlobServer,
-    RemoteBlobStore,
-    ReplicatedBlobServer,
-)
+from repro.net.remote import ReplicatedBlobServer
 
 __all__ = [
     "TransportProfile",
@@ -47,7 +43,5 @@ __all__ = [
     "UNIX_SOCKET",
     "RDMA",
     "SHARED_MEMORY",
-    "BlobServer",
-    "RemoteBlobStore",
     "ReplicatedBlobServer",
 ]

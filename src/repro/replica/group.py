@@ -55,12 +55,17 @@ from repro.db.errors import (
     TransientNetworkError,
 )
 from repro.db.stats import EngineReport
-from repro.net.remote import view_bytes
 from repro.net.transport import TCP_ETHERNET, TransportProfile, one_per
 from repro.replica.record import ACK_BYTES, ReplicationRecord
 from repro.sim.cost import CostModel
 from repro.storage.faults import FaultPlanFactory, FaultyNVMe, RetryPolicy
 from repro.storage.factory import build_storage
+
+
+def view_bytes(db: BlobDB, table: str, key: bytes) -> bytes:
+    """A BLOB's bytes served from its aliasing view, without a copy."""
+    with db.read_blob_view(table, key) as view:
+        return view.contiguous()
 
 
 @dataclass
@@ -87,8 +92,7 @@ class ReplicaMember:
 
     def __init__(self, member_id: int, db: BlobDB, table: str,
                  transport: TransportProfile, link_plan=None,
-                 retry_attempts: int = 4,
-                 retry_base_ns: float = 50_000.0) -> None:
+                 retry_attempts: int = 4) -> None:
         self.member_id = member_id
         self.model = db.model
         self.db: BlobDB | None = db
@@ -98,8 +102,7 @@ class ReplicaMember:
         #: Bound to this member's model so retry backoff is simulated
         #: inside the member's clock delta — and therefore inside the
         #: quorum makespan, exactly like the server's per-group retries.
-        self.retry = RetryPolicy(self.model, attempts=retry_attempts,
-                                 base_delay_ns=retry_base_ns)
+        self.retry = RetryPolicy(self.model, attempts=retry_attempts)
         #: Highest replication LSN durably applied by this member.
         self.applied_lsn = 0
         #: Primary term this member has accepted (fencing floor).
@@ -156,7 +159,6 @@ class ReplicaGroup:
                  device_faults: FaultPlanFactory | None = None,
                  link_faults: FaultPlanFactory | None = None,
                  retry_attempts: int = 4,
-                 retry_base_ns: float = 50_000.0,
                  auto_failover: bool = True) -> None:
         if n_replicas < 0:
             raise ValueError("need a non-negative replica count")
@@ -183,8 +185,7 @@ class ReplicaGroup:
                 table, transports[i],
                 link_plan=(link_faults.plan_for(f"{name}.m{i}.link")
                            if link_faults is not None else None),
-                retry_attempts=retry_attempts,
-                retry_base_ns=retry_base_ns)
+                retry_attempts=retry_attempts)
             for i in range(n_members)
         ]
         self.primary_id = 0

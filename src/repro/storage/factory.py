@@ -92,11 +92,8 @@ def build_storage(config, model: CostModel) -> StorageSet:
     """Build the device set an :class:`EngineConfig` places data on."""
     if config.out_of_place:
         from repro.storage.remap import RemappedDevice
-        data = RemappedDevice(
-            model, physical_pages=config.device_pages,
-            logical_pages=config.device_pages
-            * config.logical_space_multiplier,
-            page_size=config.page_size)
+        data = RemappedDevice(model, physical_pages=config.device_pages,
+                              page_size=config.page_size)
     elif config.stripe_devices > 1:
         data = make_device(model, capacity_pages=config.device_pages,
                            page_size=config.page_size, kind="striped",

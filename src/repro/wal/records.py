@@ -23,6 +23,11 @@ _CRC = struct.Struct(">I")
 END_MARKER_BYTES = _FRAME.size + _CRC.size
 
 
+def frame_size(raw, off: int) -> int:
+    """Length of the encoded frame that starts at ``off`` in ``raw``."""
+    return _FRAME.size + _FRAME.unpack_from(raw, off)[1] + _CRC.size
+
+
 def _pack_bytes(*parts: bytes) -> bytes:
     """Concatenate length-prefixed byte strings."""
     out = bytearray()

@@ -33,7 +33,12 @@ from typing import Callable
 from repro.io import IoScheduler
 from repro.sim.cost import CostModel
 from repro.storage.device import SimulatedNVMe, capabilities_of
-from repro.wal.records import END_MARKER_BYTES, LogRecord, decode_records
+from repro.wal.records import (
+    END_MARKER_BYTES,
+    LogRecord,
+    decode_records,
+    frame_size,
+)
 
 #: Chunk size (pages) of the deep-queue sequential scan recovery uses to
 #: read the log region: the region is split into chunks submitted as one
@@ -102,6 +107,9 @@ class WalWriter:
         self.retry = None
         self.stats = WalStats()
         self._buffer = bytearray()
+        #: Offset of the buffer's first frame boundary: nonzero only
+        #: after a partial flush cut a frame, whose rest leads the buffer.
+        self._front = 0
         #: Bytes durably written into the region since the last rewind.
         self._write_off = 0
         #: Durable prefix of the current (incomplete) write unit; a flush
@@ -192,48 +200,83 @@ class WalWriter:
             obs.begin("wal.flush")
         self._in_flush = True
         try:
-            self._ensure_space(nbytes)
-            # Unit-aligned: that unit's durable prefix, the new bytes and
-            # a zero frame header (clipped at the region end, where the
-            # scan ends anyway).
-            unit = self._caps.write_unit
-            chunk = self._head + bytes(self._buffer[:nbytes])
-            start = self._write_off - len(self._head)
-            padded = chunk.ljust(min(
-                -(-(len(chunk) + END_MARKER_BYTES) // unit) * unit,
-                self.region_bytes - start), b"\x00")
-            byte_off = self.region_pid * self.device.page_size + start
-
-            def _write() -> None:
-                self.device.write_bytes(byte_off, padded,
-                                        category=self.category,
-                                        background=background)
-            flush_start = self.model.clock.now_ns
-            if self.retry is not None:
-                self.retry.run(_write)
-            else:
-                _write()
-            if not background:
-                # Foreground flush time is amortizable by group commit:
-                # one flush serves every worker in the commit window
-                # (repro.sim.workers divides this by the worker count).
-                self.model.wal_flush_time_ns += \
-                    self.model.clock.now_ns - flush_start
-            del self._buffer[:nbytes]
-            self._write_off += nbytes
-            self._head = chunk[len(chunk) - self._write_off % unit:]
-            san = self.model.san
-            if san is not None:
-                # Everything up to (appended - still buffered) is durable.
-                san.on_wal_durable(self._lsn - len(self._buffer))
-            self.stats.flushes += 1
-            if not background:
-                self.stats.synchronous_flushes += 1
+            # A group-commit window can buffer more than the whole ring:
+            # such a flush goes out in pieces, each filling what is left
+            # of the ring, with a checkpoint between pieces.  A piece
+            # ends on a frame boundary, so every ring pass starts on
+            # one and the log a restart scans stays well formed.
+            left = nbytes
+            while left > self.region_bytes:
+                piece = self._whole_frames(self.region_bytes
+                                           - self._write_off)
+                if piece:
+                    self._write_out(piece, background)
+                    left -= piece
+                self.checkpoint()
+            self._ensure_space(left)
+            self._write_out(left, background)
         finally:
             self._in_flush = False
             if obs is not None:
                 obs.end(bytes=nbytes, background=background)
                 obs.count("wal.flushes", background=background)
+
+    def _whole_frames(self, room: int) -> int:
+        """Longest buffer prefix of at most ``room`` bytes that ends on a
+        frame boundary (the rest of a cut frame counts as one frame)."""
+        end, boundary = 0, self._front
+        while boundary <= room:
+            end = boundary
+            if boundary >= len(self._buffer):
+                break
+            boundary += frame_size(self._buffer, boundary)
+        return end
+
+    def _write_out(self, nbytes: int, background: bool) -> None:
+        """Write the buffer's first ``nbytes`` at the ring's write offset."""
+        # Unit-aligned: that unit's durable prefix, the new bytes and
+        # a zero frame header (clipped at the region end, where the
+        # scan ends anyway).
+        unit = self._caps.write_unit
+        chunk = self._head + bytes(self._buffer[:nbytes])
+        start = self._write_off - len(self._head)
+        padded = chunk.ljust(min(
+            -(-(len(chunk) + END_MARKER_BYTES) // unit) * unit,
+            self.region_bytes - start), b"\x00")
+        byte_off = self.region_pid * self.device.page_size + start
+
+        def _write() -> None:
+            self.device.write_bytes(byte_off, padded,
+                                    category=self.category,
+                                    background=background)
+        flush_start = self.model.clock.now_ns
+        if self.retry is not None:
+            self.retry.run(_write)
+        else:
+            _write()
+        if not background:
+            # Foreground flush time is amortizable by group commit:
+            # one flush serves every worker in the commit window
+            # (repro.sim.workers divides this by the worker count).
+            self.model.wal_flush_time_ns += \
+                self.model.clock.now_ns - flush_start
+        if nbytes < len(self._buffer):
+            boundary = self._front
+            while boundary < nbytes:
+                boundary += frame_size(self._buffer, boundary)
+            self._front = boundary - nbytes
+        else:
+            self._front = 0
+        del self._buffer[:nbytes]
+        self._write_off += nbytes
+        self._head = chunk[len(chunk) - self._write_off % unit:]
+        san = self.model.san
+        if san is not None:
+            # Everything up to (appended - still buffered) is durable.
+            san.on_wal_durable(self._lsn - len(self._buffer))
+        self.stats.flushes += 1
+        if not background:
+            self.stats.synchronous_flushes += 1
 
     def _ensure_space(self, nbytes: int) -> None:
         # Block rings leave one page of slack for the final unit's zero

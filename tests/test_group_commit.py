@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.db import BlobDB, EngineConfig
 from repro.wal.records import InsertRecord, TxnBeginRecord
+from repro.wal.writer import WalFullError
 
 
 def small_config(**overrides):
@@ -150,3 +151,59 @@ class TestCommitWindow:
     def test_window_length_is_validated(self):
         with pytest.raises(ValueError):
             EngineConfig(group_commit_window_ns=-1.0)
+
+
+def commit_puts(db, n, size=300):
+    """``n`` one-put transactions of ``size``-byte BLOBs."""
+    for i in range(n):
+        with db.transaction() as txn:
+            db.put_blob(txn, "t", b"k%04d" % i, bytes([i % 251]) * size)
+
+
+class TestWindowFitsTheRing:
+    """A commit window may buffer more WAL than the ring holds: the
+    drain's flush goes out in whole-frame pieces with a checkpoint
+    between them, instead of writing past the ring's end."""
+
+    def test_window_larger_than_the_ring_commits_and_reads_back(self):
+        # An 8-page (32 KiB) ring and a window that never expires: the
+        # threshold-1.0 post-commit checkpoint drains ~33 KiB at once.
+        config = EngineConfig(device_pages=4096, wal_pages=8,
+                              catalog_pages=64, buffer_pool_pages=512,
+                              checkpoint_threshold=1.0,
+                              group_commit_window_ns=1e9)
+        db = BlobDB(config)
+        db.create_table("t")
+        commit_puts(db, 200)
+        assert db.wal.stats.checkpoints > 0
+        for i in range(200):
+            assert db.read_blob("t", b"k%04d" % i) == bytes([i % 251]) * 300
+
+    @pytest.mark.parametrize("wal_pages,window_ns,threshold", [
+        pytest.param(
+            wal_pages, window_ns, threshold,
+            marks=pytest.mark.xfail(
+                strict=True, raises=WalFullError,
+                reason="without a window, threshold 1.0 never checkpoints "
+                       "ahead of a full ring, and the commit that finds "
+                       "it full may not checkpoint while it is active")
+            if window_ns == 0.0 and threshold == 1.0 and wal_pages < 32
+            else ())
+        for wal_pages in (4, 8, 32)
+        for window_ns in (0.0, 1e5, 1e9)
+        for threshold in (0.5, 1.0)])
+    def test_geometry_sweep_survives_crash(self, wal_pages, window_ns,
+                                           threshold):
+        config = EngineConfig(device_pages=4096, wal_pages=wal_pages,
+                              catalog_pages=64, buffer_pool_pages=512,
+                              checkpoint_threshold=threshold,
+                              group_commit_window_ns=window_ns)
+        db = BlobDB(config)
+        db.create_table("t")
+        commit_puts(db, 200)
+        db.drain_commit_window()
+        assert db.wal.used_fraction() <= 1.0
+        recovered = BlobDB.recover(db.crash(), config)
+        for i in range(200):
+            assert recovered.read_blob("t", b"k%04d" % i) == \
+                bytes([i % 251]) * 300

@@ -24,8 +24,7 @@ from repro.db import BlobDB, EngineConfig
 from repro.fuse import FuseMount
 from repro.namespace import NamespaceIndex
 from repro.objectstore import ObjectStore
-from repro.net import RDMA, TCP_ETHERNET, ReplicatedBlobServer
-from repro.net.remote import BlobServer, RemoteBlobStore
+from repro.net import TCP_ETHERNET, ReplicatedBlobServer
 from repro.replica import ReplicatedShardedBlobDB
 from repro.sched import TrafficConfig, TrafficSim, generate_jobs
 import repro.obs
@@ -190,16 +189,6 @@ def test_object_store_with_open_upload_is_freed():
 
 
 # -- servers and topologies -----------------------------------------------
-
-def test_blob_server_is_freed():
-    def build():
-        server = BlobServer(BlobDB(small_config()))
-        client = RemoteBlobStore(server, RDMA)
-        client.put(b"k", b"v" * 5000)
-        assert client.get(b"k") == b"v" * 5000
-        return client
-    assert_freed(build)
-
 
 def test_groups_of_one_are_freed():
     def build():

@@ -1,8 +1,12 @@
-"""Tests for remote BLOB access over pluggable transports."""
+"""Tests for remote BLOB access over pluggable transports.
+
+Every test runs on the one server, :class:`ReplicatedBlobServer`; the
+single-engine server is its topology of one group of one.
+"""
 
 import pytest
 
-from repro.db import BlobDB, EngineConfig
+from repro.db import EngineConfig
 from repro.db.errors import (
     KeyNotFoundError,
     RemoteProtocolError,
@@ -14,21 +18,30 @@ from repro.net import (
     SHARED_MEMORY,
     TCP_ETHERNET,
     UNIX_SOCKET,
-    BlobServer,
-    RemoteBlobStore,
     ReplicatedBlobServer,
 )
 from repro.replica import ReplicatedShardedBlobDB
-from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
+from repro.sim.cost import CostModel, CostParams
+from repro.storage.faults import FaultPlan, FaultPlanFactory, FaultSpec
 
 
-def remote(transport, fault_plan=None, retry_attempts=0):
-    db = BlobDB(EngineConfig(device_pages=16384, wal_pages=512,
-                             catalog_pages=128, buffer_pool_pages=4096))
-    retry = RetryPolicy(db.model, attempts=retry_attempts) \
-        if retry_attempts else None
-    return RemoteBlobStore(BlobServer(db), transport,
-                           fault_plan=fault_plan, retry=retry)
+def sharded_server(n_shards=4, transports=TCP_ETHERNET, fault_plan=None,
+                   retry_attempts=0, n_replicas=0, device_faults=None,
+                   model=None):
+    """The server over ``n_shards`` replica groups (of one unless
+    ``n_replicas`` says otherwise)."""
+    config = EngineConfig(device_pages=16384, wal_pages=512,
+                          catalog_pages=128, buffer_pool_pages=4096)
+    rdb = ReplicatedShardedBlobDB(n_groups=n_shards, n_replicas=n_replicas,
+                                  quorum=1, config=config, model=model,
+                                  device_faults=device_faults)
+    return ReplicatedBlobServer(rdb, transports, fault_plan=fault_plan,
+                                retry_attempts=retry_attempts)
+
+
+def remote(transport, **kwargs):
+    """The single-engine server: one group of one."""
+    return sharded_server(n_shards=1, transports=transport, **kwargs)
 
 
 class TestProtocol:
@@ -36,91 +49,96 @@ class TestProtocol:
                                            RDMA, SHARED_MEMORY],
                              ids=lambda t: t.name)
     def test_put_get_roundtrip(self, transport):
-        store = remote(transport)
+        server = remote(transport)
         payload = bytes(range(256)) * 100
-        store.put(b"k", payload)
-        assert store.get(b"k") == payload
+        server.put(b"k", payload)
+        assert server.get(b"k") == payload
 
     def test_stat_and_delete(self):
-        store = remote(UNIX_SOCKET)
-        store.put(b"k", b"x" * 1234)
-        assert store.stat(b"k") == 1234
-        store.delete(b"k")
-        assert not store.exists(b"k")
+        server = remote(UNIX_SOCKET)
+        server.put(b"k", b"x" * 1234)
+        assert server.stat(b"k") == 1234
+        server.delete(b"k")
         with pytest.raises(KeyNotFoundError):
-            store.get(b"k")
+            server.stat(b"k")
+        with pytest.raises(KeyNotFoundError):
+            server.get(b"k")
 
     def test_replace_via_put(self):
-        store = remote(RDMA)
-        store.put(b"k", b"v1")
-        store.put(b"k", b"v2 longer")
-        assert store.get(b"k") == b"v2 longer"
+        server = remote(RDMA)
+        server.put(b"k", b"v1")
+        server.put(b"k", b"v2 longer")
+        assert server.get(b"k") == b"v2 longer"
 
     def test_server_stats(self):
-        store = remote(SHARED_MEMORY)
-        store.put(b"k", b"x" * 100)
-        store.get(b"k")
-        assert store.server.stats.requests == 2
-        assert store.server.stats.bytes_out >= 100
+        server = remote(SHARED_MEMORY)
+        server.put(b"k", b"x" * 100)
+        server.get(b"k")
+        assert server.stats.requests == 2
+        assert server.stats.bytes_in == 2 * len(b"k") + 100
+        # A zero-copy GET ships no payload bytes: only the PUT's ack.
+        assert server.stats.bytes_out == 16
 
     def test_malformed_requests_raise_protocol_error(self):
         """Bad request shapes surface as a typed RemoteProtocolError a
         client can distinguish from server bugs, never a bare Python
         exception."""
-        store = remote(UNIX_SOCKET)
+        server = remote(UNIX_SOCKET)
         with pytest.raises(RemoteProtocolError):
-            store.server.handle_stat(None)
+            server.stat(None)
         with pytest.raises(RemoteProtocolError):
-            store.server.handle_put(b"k", 12345)
+            server.put(b"k", 12345)
         with pytest.raises(RemoteProtocolError):
-            store.server.handle_get(None)
+            server.get(None)
         # Engine errors keep their own type (not wrapped as protocol).
         with pytest.raises(KeyNotFoundError):
-            store.server.handle_get(b"missing")
+            server.get(b"missing")
 
 
 class TestNetworkFaults:
     def test_lost_exchanges_are_retried_to_success(self):
         plan = FaultPlan(FaultSpec(seed=9, network_error=0.9))
-        store = remote(UNIX_SOCKET, fault_plan=plan, retry_attempts=4)
+        server = remote(UNIX_SOCKET, fault_plan=plan, retry_attempts=4)
         payload = b"\x5a" * 10_000
-        store.put(b"k", payload)
-        assert store.get(b"k") == payload
+        server.put(b"k", payload)
+        assert server.get(b"k") == payload
         assert plan.stats.network_errors > 0
-        assert store.retry.stats.retries == plan.stats.network_errors
+        assert server.retries[0].stats.retries == plan.stats.network_errors
 
     def test_lost_request_never_reaches_the_server(self):
         """A drawn fault loses the request in flight — the burst-capped
         plan drops two attempts, the third is the only one the server
         executes, so blind re-issue is safe."""
         plan = FaultPlan(FaultSpec(seed=0, network_error=1.0))
-        store = remote(SHARED_MEMORY, fault_plan=plan, retry_attempts=4)
-        store.put(b"k", b"v")
-        assert store.server.stats.requests == 1
+        server = remote(SHARED_MEMORY, fault_plan=plan, retry_attempts=4)
+        server.put(b"k", b"v")
+        assert server.stats.requests == 1
+        assert server.groups[0].stats.acked_writes == 1
         assert plan.stats.network_errors == 2
 
     def test_without_retry_the_typed_error_surfaces(self):
         plan = FaultPlan(FaultSpec(seed=0, network_error=1.0))
-        store = remote(UNIX_SOCKET, fault_plan=plan)
+        server = remote(UNIX_SOCKET, fault_plan=plan)
         with pytest.raises(TransientNetworkError):
-            store.put(b"k", b"v")
+            server.put(b"k", b"v")
 
     def test_exhausted_retries_degrade_to_typed_error(self):
         plan = FaultPlan(FaultSpec(seed=0, network_error=1.0,
                                    max_consecutive_transients=99))
-        store = remote(UNIX_SOCKET, fault_plan=plan, retry_attempts=3)
+        server = remote(UNIX_SOCKET, fault_plan=plan, retry_attempts=3)
         with pytest.raises(RetriesExhaustedError):
-            store.stat(b"k")
-        assert store.retry.stats.exhausted == 1
+            server.stat(b"k")
+        assert server.retries[0].stats.exhausted == 1
 
 
 class TestTransportCosts:
     def measure_get(self, transport, payload_bytes: int) -> float:
-        store = remote(transport)
-        store.put(b"k", b"\x42" * payload_bytes)
-        before = store.model.clock.now_ns
-        store.get(b"k")
-        return store.model.clock.now_ns - before
+        """Client-observed GET time: the router clock."""
+        server = remote(transport)
+        server.put(b"k", b"\x42" * payload_bytes)
+        before = server.model.clock.now_ns
+        server.get(b"k")
+        return server.model.clock.now_ns - before
 
     def test_tcp_is_slowest(self):
         times = {t.name: self.measure_get(t, 100_000)
@@ -142,19 +160,58 @@ class TestTransportCosts:
 
     def test_shm_get_near_local_speed(self):
         """Shared memory loses little over the embedded engine."""
-        store = remote(SHARED_MEMORY)
+        server = remote(SHARED_MEMORY)
         payload = b"\x24" * 1_000_000
-        store.put(b"k", payload)
-        db = store.server.db
+        server.put(b"k", payload)
+        db = server.groups[0].primary.db
+
+        t0 = server.model.clock.now_ns
+        server.get(b"k")
+        remote_ns = server.model.clock.now_ns - t0
 
         t0 = db.model.clock.now_ns
-        store.get(b"k")
-        remote_ns = db.model.clock.now_ns - t0
-
-        t0 = db.model.clock.now_ns
-        db.read_blob(store.server.table, b"k")
+        db.read_blob(server.rdb.table, b"k")
         local_ns = db.model.clock.now_ns - t0
         assert remote_ns < 1.35 * local_ns
+
+
+class TestOneGroupOracle:
+    """The single-engine server is a one-group topology, priced exactly:
+    the group clock pays dispatch, the engine read and the exchange; the
+    router clock adds one route and one one-wide fan-out on top."""
+
+    @pytest.mark.parametrize("transport", [TCP_ETHERNET, SHARED_MEMORY],
+                             ids=lambda t: t.name)
+    def test_get_prices_dispatch_read_exchange_then_routing(self,
+                                                            transport):
+        server = remote(transport)
+        payload = b"\x37" * 10_000
+        server.put(b"k", payload)
+        group, engine = server.groups[0], server.groups[0].primary.db
+        router0 = server.model.clock.now_ns
+        group0 = group.model.clock.now_ns
+        engine0 = engine.model.clock.now_ns
+        assert server.get(b"k") == payload
+        read_ns = engine.model.clock.now_ns - engine0
+
+        # The same charges, one by one, on a fresh clock with the same
+        # price list.
+        probe = CostModel(server.model.params)
+        probe.rpc_dispatch()
+        if transport.zero_copy_responses:
+            probe.memcpy(len(payload))  # the client's one copy
+            transport.charge_exchange(probe, len(b"k"), 0)
+        else:
+            transport.charge_exchange(probe, len(b"k"), len(payload))
+        group_ns = group.model.clock.now_ns - group0
+        assert group_ns == probe.clock.now_ns + read_ns
+
+        routing = CostModel(server.model.params)
+        routing.shard_route(len(b"k"))
+        routing.shard_fanout(1)
+        assert routing.clock.now_ns > 0
+        assert server.model.clock.now_ns - router0 == \
+            group_ns + routing.clock.now_ns
 
 
 class TestFaultyServerTorture:
@@ -162,98 +219,70 @@ class TestFaultyServerTorture:
     a network-loss storm, must converge with exact byte accounting."""
 
     def faulty_remote(self, device_seed=3, net_seed=11):
-        from repro.sim.cost import CostModel
-        from repro.storage.device import SimulatedNVMe
-        from repro.storage.faults import FaultyNVMe
-
-        config = EngineConfig(device_pages=16384, wal_pages=512,
-                              catalog_pages=128, buffer_pool_pages=4096)
-        model = CostModel()
-        inner = SimulatedNVMe(model, capacity_pages=config.device_pages)
-        device_plan = FaultPlan(FaultSpec(seed=device_seed,
-                                          transient_error=0.05))
-        db = BlobDB(config, device=FaultyNVMe(inner, device_plan),
-                    model=model)
+        device_faults = FaultPlanFactory(FaultSpec(seed=device_seed,
+                                                   transient_error=0.05))
         net_plan = FaultPlan(FaultSpec(seed=net_seed, network_error=0.3))
-        retry = RetryPolicy(db.model, attempts=8)
-        store = RemoteBlobStore(BlobServer(db), TCP_ETHERNET,
-                                fault_plan=net_plan, retry=retry)
-        return store, device_plan, net_plan
+        server = remote(TCP_ETHERNET, fault_plan=net_plan, retry_attempts=8,
+                        device_faults=device_faults)
+        return server, device_faults, net_plan
 
     def test_storm_converges_with_exact_byte_accounting(self):
-        store, device_plan, net_plan = self.faulty_remote()
+        server, device_faults, net_plan = self.faulty_remote()
         n = 40
         expected_in = expected_out = 0
         for i in range(n):
             key = b"k%04d" % i
             data = bytes([i % 251]) * (512 + 16 * i)
-            store.put(key, data)
+            server.put(key, data)
             expected_in += len(key) + len(data)
             expected_out += 16
         for i in range(n):
             key = b"k%04d" % i
-            got = store.get(key)
+            got = server.get(key)
             assert got == bytes([i % 251]) * (512 + 16 * i)
             expected_in += len(key)
             expected_out += len(got)
         # The storm actually stormed: lost exchanges and device-level
         # transients both fired and were absorbed by their retry layers.
         assert net_plan.stats.network_errors > 0
-        assert device_plan.stats.transient_errors > 0
+        assert device_faults.stats().transient_errors > 0
         # Lost requests never reached the server, so despite the
         # retries every operation executed (and was counted) exactly
         # once, and the byte ledgers match the payloads to the byte.
-        stats = store.server.stats
+        stats = server.stats
         assert stats.requests == 2 * n
+        assert server.groups[0].stats.acked_writes == n
         assert stats.bytes_in == expected_in
         assert stats.bytes_out == expected_out
 
     def test_torture_run_is_deterministic(self):
         ledgers = []
         for _ in range(2):
-            store, _, net_plan = self.faulty_remote()
+            server, _, net_plan = self.faulty_remote()
             for i in range(20):
-                store.put(b"k%02d" % i, b"v" * (100 + i))
+                server.put(b"k%02d" % i, b"v" * (100 + i))
             for i in range(20):
-                store.get(b"k%02d" % i)
-            ledgers.append((store.server.stats.requests,
-                            store.server.stats.bytes_in,
-                            store.server.stats.bytes_out,
+                server.get(b"k%02d" % i)
+            ledgers.append((server.stats.requests,
+                            server.stats.bytes_in,
+                            server.stats.bytes_out,
                             net_plan.stats.network_errors,
-                            store.model.clock.now_ns))
+                            server.model.clock.now_ns))
         assert ledgers[0] == ledgers[1]
 
 
 class TestDispatchCostParam:
     def test_dispatch_cost_is_configurable_via_cost_params(self):
-        from repro.sim.cost import CostModel, CostParams
-
         def dispatch_ns(rpc_dispatch_ns):
-            config = EngineConfig(device_pages=16384, wal_pages=512,
-                                  catalog_pages=128,
-                                  buffer_pool_pages=4096)
             model = CostModel(
                 CostParams().copy(rpc_dispatch_ns=rpc_dispatch_ns))
-            db = BlobDB(config, model=model)
-            server = BlobServer(db)
-            server.handle_put(b"k", b"v" * 64)
+            server = remote(TCP_ETHERNET, model=model)
+            server.put(b"k", b"v" * 64)
             start = model.clock.now_ns
-            server.handle_stat(b"k")
+            server.stat(b"k")
             return model.clock.now_ns - start
         assert dispatch_ns(50_000.0) - dispatch_ns(0.0) == \
             pytest.approx(50_000.0)
-
-
-def sharded_server(n_shards=4, transports=TCP_ETHERNET, fault_plan=None,
-                   retry_attempts=0, n_replicas=0):
-    """The scatter-gather server over ``n_shards`` replica groups (of one
-    unless ``n_replicas`` says otherwise)."""
-    config = EngineConfig(device_pages=16384, wal_pages=512,
-                          catalog_pages=128, buffer_pool_pages=4096)
-    rdb = ReplicatedShardedBlobDB(n_groups=n_shards, n_replicas=n_replicas,
-                                  quorum=1, config=config)
-    return ReplicatedBlobServer(rdb, transports, fault_plan=fault_plan,
-                                retry_attempts=retry_attempts)
 
 
 class TestShardedServer:
@@ -342,7 +371,7 @@ class TestShardedServer:
 
 class TestScatterGatherGuard:
     """Malformed requests are refused typed, before routing or pricing,
-    as :class:`RemoteBlobStore` refuses them."""
+    on every topology."""
 
     @pytest.mark.parametrize("call", [
         lambda server: server.put("k", b"v" * 16),

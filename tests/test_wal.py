@@ -180,6 +180,40 @@ class TestWalWriter:
         assert durable  # only post-checkpoint tail remains
         assert all(isinstance(r, InsertRecord) for r in durable)
 
+    def ring_passes(self, region_pages, buffer_bytes, n, flush_every):
+        """Append ``n`` 3 KB inserts, flushing the group every
+        ``flush_every``; return the records each ring pass held, the
+        last one still in the ring."""
+        passes = []
+        wal = make_writer(region_pages=region_pages,
+                          buffer_bytes=buffer_bytes,
+                          checkpoint_cb=lambda: passes.append(
+                              wal.durable_records()))
+        records = [InsertRecord(txn_id=i, table="t", key=b"k%d" % i,
+                                value=bytes([i]) * 3000) for i in range(n)]
+        for i, record in enumerate(records, 1):
+            wal.append(record)
+            if i % flush_every == 0:
+                wal.group_commit_flush()
+        wal.group_commit_flush()
+        return records, passes + [wal.durable_records()]
+
+    def test_flush_longer_than_the_ring_goes_out_in_whole_frames(self):
+        """A 60 KB group flush into a 16 KiB ring: pieces of whole
+        frames with a checkpoint between them, so every pass decodes and
+        every record lands exactly once, in order."""
+        records, passes = self.ring_passes(4, 1 << 20, 20, flush_every=20)
+        assert len(passes) >= 4
+        assert [r for ring_pass in passes for r in ring_pass] == records
+
+    def test_cut_frame_finishes_in_its_own_pass(self):
+        """A 20 000-byte buffer over a 16 KiB ring: each overflow flush
+        is longer than the ring and ends inside a frame; the next flush
+        completes that frame in the same pass before it checkpoints."""
+        records, passes = self.ring_passes(4, 20_000, 14, flush_every=99)
+        assert len(passes) == 3
+        assert [r for ring_pass in passes for r in ring_pass] == records
+
     def test_used_fraction_grows(self):
         wal = make_writer()
         assert wal.used_fraction() == 0.0
